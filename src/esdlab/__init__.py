@@ -15,8 +15,6 @@ from .linalg import (
     PositivityError,
     TraceError,
     ValidationError,
-    dagger,
-    hermitian_eigvals,
     kron,
     partial_trace,
     product_spectrum,
@@ -32,7 +30,6 @@ from .channels import (
     dephasing_channel,
     dephasing_factors,
     identity_channel,
-    integrate,
     integrate_path,
     lift,
     lindblad_rhs,
@@ -95,15 +92,12 @@ __all__ = [
     "compose",
     "concurrence",
     "concurrence_x",
-    "dagger",
     "dephasing_channel",
     "dephasing_factors",
     "diagram_grid",
     "esd_time",
     "evolve_x",
-    "hermitian_eigvals",
     "identity_channel",
-    "integrate",
     "integrate_path",
     "kron",
     "lambda_state",

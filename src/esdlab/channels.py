@@ -42,12 +42,13 @@ from .linalg import (
 
 COMPLETENESS_TOL = 1e-10
 DEFAULT_DT = 1e-4
+# trace and positivity bound for RK4 states, which carry error from many steps
+INTEGRATOR_TOL = 1e-8
 
 TARGETS = ("A", "B")
 KINDS = ("amplitude", "phase")
 
 _SIGMA_MINUS = np.array([[0, 0], [1, 0]], dtype=np.complex128)  # |+> -> |->
-_SIGMA_PLUS = _SIGMA_MINUS.conj().T
 _SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 _I2 = np.eye(2, dtype=np.complex128)
 
@@ -163,6 +164,14 @@ def completeness_defect(ch: KrausChannel) -> float:
     return float(np.abs(acc - np.eye(ch.dim)).max())
 
 
+def kraus_sum(ch: KrausChannel, mat: np.ndarray) -> np.ndarray:
+    """sum K mat K^dag over the Kraus set, with no completeness or state check."""
+    out = np.zeros_like(mat)
+    for k in ch.ops:
+        out += k @ mat @ k.conj().T
+    return out
+
+
 def apply_channel(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     """Apply a complete channel: rho -> sum K rho K^dag, revalidated."""
     if ch.dim != rho.dim:
@@ -172,28 +181,26 @@ def apply_channel(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
         raise ValueError(
             f"channel completeness defect {defect:.3e} exceeds {COMPLETENESS_TOL:.0e}"
         )
-    out = np.zeros_like(rho.mat)
-    for k in ch.ops:
-        out += k @ rho.mat @ k.conj().T
-    return validate_density(out)
-
-
-def _specs_for(specs: Iterable[NoiseSpec], target: str, kind: str):
-    return [s for s in specs if s.target == target and s.kind == kind]
+    return validate_density(kraus_sum(ch, rho.mat))
 
 
 def qubit_channel(specs: Iterable[NoiseSpec], t: float, target: str) -> KrausChannel:
-    """Composed channel for all noises acting on one qubit at elapsed time t.
+    """Channel for all noises acting on one qubit at elapsed time t.
 
-    Amplitude factors are composed before phase factors; the two kinds
-    commute in action, so the order only fixes the Kraus representative.
+    Rates add, so each kind contributes one channel at its summed rate: at
+    most 4 Kraus matrices however many specs there are.  Amplitude comes
+    before phase; the kinds commute in action, so the order only fixes the
+    Kraus representative.
     """
-    ch = identity_channel(2)
-    for s in _specs_for(specs, target, "amplitude"):
-        ch = compose(ch, amplitude_channel(s.rate, t))
-    for s in _specs_for(specs, target, "phase"):
-        ch = compose(ch, dephasing_channel(s.rate, t))
-    return ch
+    rates: dict = {}
+    for s in specs:
+        if s.target == target:
+            rates[s.kind] = rates.get(s.kind, 0.0) + s.rate
+    builders = (("amplitude", amplitude_channel), ("phase", dephasing_channel))
+    parts = [build(rates[kind], t) for kind, build in builders if kind in rates]
+    if not parts:
+        return identity_channel(2)
+    return parts[0] if len(parts) == 1 else compose(*parts)
 
 
 def noise_channel(specs: Iterable[NoiseSpec], t: float) -> KrausChannel:
@@ -265,53 +272,24 @@ def _rk4_step_matrix(sup: np.ndarray, h: float) -> np.ndarray:
     return step
 
 
-def _check_dt(t: float, dt: float):
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
-    if t > 0 and not (0 < dt <= t):
-        raise ValueError(f"need 0 < dt <= t, got dt={dt}, t={t}")
-
-
-def integrate(
-    rho0: DensityMatrix,
-    specs: Iterable[NoiseSpec],
-    t: float,
-    dt: float = DEFAULT_DT,
-) -> DensityMatrix:
-    """Fixed-step RK4 solution of the master equation at time t.
-
-    The step is h = t / ceil(t / dt) <= dt.  The result is revalidated with
-    positivity tolerance relaxed to 1e-8 to absorb truncation error; a
-    validation failure becomes NumericalFailureError.
-    """
-    specs = tuple(specs)
-    _check_dt(t, dt)
-    if t == 0:
-        return rho0
-    dim = rho0.dim
-    sup = _superoperator(specs, dim)
-    n_steps = math.ceil(t / dt - 1e-12)
-    step = _rk4_step_matrix(sup, t / n_steps)
-    vec = rho0.mat.reshape(dim * dim)
-    for _ in range(n_steps):
-        vec = step @ vec
-    try:
-        return validate_density(vec.reshape(dim, dim), positivity_tol=1e-8)
-    except ValidationError as exc:
-        raise NumericalFailureError(f"integration left the state space: {exc}") from exc
-
-
 def integrate_path(
     rho0: DensityMatrix,
     specs: Iterable[NoiseSpec],
     times: Sequence[float],
     dt: float = DEFAULT_DT,
 ) -> list[DensityMatrix]:
-    """States at an ascending time grid from a single integration pass."""
+    """Fixed-step RK4 solutions of the master equation on an ascending time grid.
+
+    One pass; each span between grid times is split into equal steps
+    h = span / ceil(span / dt) <= dt.  States are revalidated to
+    INTEGRATOR_TOL, and a failure becomes NumericalFailureError.
+    """
     specs = tuple(specs)
     times = [float(t) for t in times]
     if any(b <= a for a, b in zip(times, times[1:])) or (times and times[0] < 0):
         raise ValueError("times must be ascending and nonnegative")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and > 0, got {dt}")
     dim = rho0.dim
     sup = _superoperator(specs, dim)
     step_cache: dict[float, np.ndarray] = {}
@@ -321,7 +299,6 @@ def integrate_path(
     for t in times:
         span = t - now
         if span > 0:
-            _check_dt(span, min(dt, span))
             n_steps = math.ceil(span / dt - 1e-12)
             h = span / n_steps
             if h not in step_cache:
@@ -331,7 +308,7 @@ def integrate_path(
                 vec = step @ vec
             now = t
         try:
-            out.append(validate_density(vec.reshape(dim, dim), positivity_tol=1e-8))
+            out.append(validate_density(vec.reshape(dim, dim), tol=INTEGRATOR_TOL))
         except ValidationError as exc:
             raise NumericalFailureError(
                 f"integration left the state space at t={t}: {exc}"

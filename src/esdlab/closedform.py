@@ -25,6 +25,8 @@ from typing import Optional
 
 import numpy as np
 
+from .concurrence import default_t_max, first_root
+
 
 def _check_lambda(lam: float):
     if not (0 < lam <= 4):
@@ -110,25 +112,14 @@ def combined_death_time(
     (default 20 / min(positive rate)), meaning the decay stays exponential.
     """
     _check_lambda(lam)
-    active = [r for r in (rate_amp, rate_phase) if r > 0]
     if t_max is None:
-        t_max = 20.0 / min(active) if active else 1.0
+        t_max = default_t_max((rate_amp, rate_phase))
 
     def bracket(t: float) -> float:
         w2 = 1.0 - math.exp(-rate_amp * t)
         return lam * math.exp(-rate_phase * t) - math.sqrt(w2 * w2 + 8.0 * w2)
 
     grid = np.linspace(0.0, t_max, scan_points + 1)
-    signs = np.array([bracket(float(t)) for t in grid])
-    hits = np.nonzero(signs[1:] <= 0.0)[0]
-    if len(hits) == 0:
-        return None
-    idx = 1 + int(hits[0])
-    lo, hi = float(grid[idx - 1]), float(grid[idx])
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if bracket(mid) <= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    values = np.array([bracket(float(t)) for t in grid])
+    root = first_root(bracket, grid, values, 1e-12)
+    return None if root is None else float(root[0])

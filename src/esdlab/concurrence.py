@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .channels import NoiseSpec, apply_channel, noise_channel
-from .linalg import DensityMatrix, kron, product_spectrum
+from .linalg import DensityMatrix, kron, product_spectrum, validate_density
 
 DEATH_C_TOL = 1e-12
 _SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -70,8 +70,6 @@ class XState:
         m[0, 0], m[1, 1], m[2, 2], m[3, 3] = self.a, self.b, self.c, self.d
         m[1, 2] = self.z
         m[2, 1] = np.conj(self.z)
-        from .linalg import validate_density
-
         return validate_density(m)
 
 
@@ -202,16 +200,37 @@ def trace_concurrence(
     return ConcurrenceTrace(times=times, values=values, specs=specs, initial=initial)
 
 
-def _margin_fn(initial, specs):
-    """Scalar margin-of-concurrence function of time for either state kind."""
+def first_root(margin, grid, values, resolution: float, start: int = 1):
+    """First sign change of ``values`` (a margin on ``grid``) from index ``start``.
+
+    The bracket [grid[idx - 1], grid[idx]] around the first nonpositive
+    value is bisected on ``margin`` down to ``resolution``.  Returns (t, idx)
+    with t the nonpositive end of the bracket, or None without a sign change.
+    """
+    hits = np.nonzero(values[start:] <= 0.0)[0]
+    if len(hits) == 0:
+        return None
+    idx = start + int(hits[0])
+    lo, hi = float(grid[idx - 1]), float(grid[idx])
+    while hi - lo > resolution:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # adjacent floats: the spacing exceeds resolution
+            break
+        if margin(mid) <= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi, idx
+
+
+def _margins_fn(initial, specs):
+    """Concurrence margin on an array of times, for either state kind."""
     if isinstance(initial, XState):
-        return lambda t: float(_x_margins(initial, specs, np.asarray([t]))[0])
-    rho0 = initial
-
-    def margin(t: float) -> float:
-        return concurrence_margin(apply_channel(noise_channel(specs, t), rho0))
-
-    return margin
+        return lambda times: _x_margins(initial, specs, times)
+    return lambda times: np.array([
+        concurrence_margin(apply_channel(noise_channel(specs, float(t)), initial))
+        for t in times
+    ])
 
 
 def esd_time(
@@ -231,48 +250,33 @@ def esd_time(
     there is nothing to lose at t = 0.
     """
     specs = tuple(specs)
-    if t_max <= 0:
-        raise ValueError(f"t_max must be > 0, got {t_max}")
-    margin = _margin_fn(initial, specs)
+    if not (math.isfinite(t_max) and t_max > 0):
+        raise ValueError(f"t_max must be finite and > 0, got {t_max}")
+    margins_at = _margins_fn(initial, specs)
+
+    def margin(t: float) -> float:
+        return float(margins_at(np.asarray([t]))[0])
+
     if margin(0.0) <= 0.0:
         raise SeparableStateError("initial state is separable (zero concurrence)")
-
     grid = np.linspace(0.0, t_max, scan_points + 1)
-    if isinstance(initial, XState):
-        margins = _x_margins(initial, specs, grid)
-    else:
-        margins = np.array([margin(float(t)) for t in grid])
+    margins = margins_at(grid)
 
     start = 1  # invariant: margins[start - 1] > 0
-    while start <= scan_points:
-        hits = np.nonzero(margins[start:] <= 0.0)[0]
-        if len(hits) == 0:
+    while True:
+        root = first_root(margin, grid, margins, resolution, start)
+        if root is None:
             return None
-        idx = start + int(hits[0])
-        lo, hi = grid[idx - 1], grid[idx]
-        while hi - lo > resolution:
-            mid = 0.5 * (lo + hi)
-            if margin(mid) <= 0.0:
-                hi = mid
-            else:
-                lo = mid
-        t_star = hi
+        t_star, idx = root
         # confirm the zero is absorbing: C <= DEATH_C_TOL out to 2 t*
         check = t_star + np.arange(1, 9) * (t_star / 8.0)
-        if isinstance(initial, XState):
-            confirmed = bool(
-                np.all(_x_margins(initial, specs, check) <= 0.5 * DEATH_C_TOL)
-            )
-        else:
-            confirmed = all(margin(float(t)) <= 0.5 * DEATH_C_TOL for t in check)
-        if confirmed:
+        if np.all(margins_at(check) <= 0.5 * DEATH_C_TOL):
             return float(t_star)
         # the zero was a graze: skip past this nonpositive pocket and rescan
         nxt = idx
         while nxt <= scan_points and margins[nxt] <= 0.0:
             nxt += 1
         start = nxt + 1
-    return None
 
 
 class DecayKind(Enum):
@@ -296,9 +300,9 @@ class DecayClass:
             raise ValueError("t_star must be > 0")
 
 
-def default_t_max(specs: Iterable[NoiseSpec]) -> float:
+def default_t_max(rates: Iterable[float]) -> float:
     """Horizon 20 / min(active rate): exp(-20) is below every tolerance in use."""
-    active = [s.rate for s in specs if s.rate > 0]
+    active = [r for r in rates if r > 0]
     return 20.0 / min(active) if active else 1.0
 
 
@@ -311,7 +315,7 @@ def classify(
     specs = tuple(specs)
     if concurrence_x(x) == 0.0:
         return DecayClass(DecayKind.SEPARABLE_AT_START)
-    horizon = default_t_max(specs) if t_max is None else t_max
+    horizon = default_t_max(s.rate for s in specs) if t_max is None else t_max
     t_star = esd_time(x, specs, horizon)
     if t_star is None:
         return DecayClass(DecayKind.EXPONENTIAL)

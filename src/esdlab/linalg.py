@@ -8,6 +8,7 @@ first in each single-qubit factor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -15,8 +16,7 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 POSITIVITY_TOL = 1e-10
 
-# spectral junk below _CLAMP_TOL is roundoff, above _FAILURE_TOL the input was bad
-_CLAMP_TOL = 1e-9
+# spectral junk above _FAILURE_TOL means the input was bad, not roundoff
 _FAILURE_TOL = 1e-6
 
 
@@ -63,19 +63,6 @@ def kron(a, b) -> np.ndarray:
     return np.kron(a, b)
 
 
-def dagger(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(a).conj().T
-
-
-def hermitian_eigvals(a, herm_tol: float = 1e-10) -> np.ndarray:
-    """Real spectrum of a Hermitian matrix, ascending."""
-    a = as_matrix(a)
-    if np.abs(a - a.conj().T).max() > herm_tol:
-        raise ValueError("matrix is not Hermitian")
-    return np.linalg.eigvalsh(a)
-
-
 def product_spectrum(m) -> np.ndarray:
     """Eigenvalues of a spin-flip product matrix, descending, clamped to >= 0.
 
@@ -116,13 +103,16 @@ class DensityMatrix:
         return 2 ** self.n_qubits
 
 
-def validate_density(m, positivity_tol: float = POSITIVITY_TOL) -> DensityMatrix:
+def validate_density(m, tol: Optional[float] = None) -> DensityMatrix:
     """Validate a matrix as a density operator and wrap it.
 
     Raises HermiticityError, TraceError or PositivityError, naming the
-    violated property.  ``positivity_tol`` bounds how far below zero the
-    smallest eigenvalue may sit.
+    violated property.  ``tol``, when given, replaces both TRACE_TOL and
+    POSITIVITY_TOL (the bounds on the trace defect and on how far below zero
+    the smallest eigenvalue may sit); only the RK4 integrator loosens them.
     """
+    trace_tol = TRACE_TOL if tol is None else tol
+    positivity_tol = POSITIVITY_TOL if tol is None else tol
     a = as_matrix(m)
     herm_defect = np.abs(a - a.conj().T).max()
     if herm_defect > HERMITICITY_TOL:
@@ -130,8 +120,8 @@ def validate_density(m, positivity_tol: float = POSITIVITY_TOL) -> DensityMatrix
             f"hermiticity defect {herm_defect:.3e} exceeds {HERMITICITY_TOL:.0e}"
         )
     trace_defect = abs(a.trace() - 1.0)
-    if trace_defect > TRACE_TOL:
-        raise TraceError(f"trace defect {trace_defect:.3e} exceeds {TRACE_TOL:.0e}")
+    if trace_defect > trace_tol:
+        raise TraceError(f"trace defect {trace_defect:.3e} exceeds {trace_tol:.0e}")
     smallest = np.linalg.eigvalsh(0.5 * (a + a.conj().T))[0]
     if smallest < -positivity_tol:
         raise PositivityError(

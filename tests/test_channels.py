@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from esdlab import (
     dephasing_channel,
     dephasing_factors,
     identity_channel,
-    integrate,
     integrate_path,
     lambda_state,
     lift,
@@ -24,6 +24,7 @@ from esdlab import (
     qubit_channel,
     validate_density,
 )
+from esdlab.channels import DEFAULT_DT
 
 from helpers import random_density, random_x_state
 
@@ -223,6 +224,47 @@ def test_qubit_channel_rates_add():
     assert np.abs(out1.mat - out2.mat).max() < 1e-15
 
 
+def _same_kind_specs(k, rng):
+    """k specs of every (qubit, kind) pair with seeded rates, in shuffled order."""
+    specs = [NoiseSpec(q, kind, float(rng.uniform(0.1, 2.0)))
+             for q in ("A", "B") for kind in ("amplitude", "phase") for _ in range(k)]
+    return [specs[i] for i in rng.permutation(len(specs))]
+
+
+def _per_spec_chain(specs, t, target):
+    """One Kraus pair per spec, composed in turn: amplitude specs, then phase."""
+    ch = identity_channel(2)
+    for kind, build in (("amplitude", amplitude_channel), ("phase", dephasing_channel)):
+        for s in specs:
+            if s.target == target and s.kind == kind:
+                ch = compose(ch, build(s.rate, t))
+    return ch
+
+
+def test_noise_channel_folds_same_kind_specs(rng):
+    noise_channel(_same_kind_specs(1, rng), 0.5)  # warm-up
+    for k in range(1, 7):
+        specs = _same_kind_specs(k, rng)
+        start = time.perf_counter()
+        ch = noise_channel(specs, 0.7)
+        elapsed = time.perf_counter() - start
+        assert len(ch.ops) <= 16
+        assert elapsed < 0.05, f"k={k}: {elapsed * 1e3:.1f} ms"
+
+
+def test_folded_channel_matches_per_spec_chain(rng):
+    identity = identity_channel(2)
+    for k in (1, 2, 3):
+        for _ in range(5):
+            specs = _same_kind_specs(k, rng)
+            t = float(rng.uniform(0.0, 2.0))
+            rho = random_density(rng, 4)
+            want = apply_channel(lift(_per_spec_chain(specs, t, "A"), identity), rho)
+            want = apply_channel(lift(identity, _per_spec_chain(specs, t, "B")), want)
+            got = apply_channel(noise_channel(specs, t), rho)
+            assert np.abs(got.mat - want.mat).max() < 1e-12
+
+
 def test_lindblad_rhs_zero_for_empty():
     assert np.abs(lindblad_rhs(PLUS_X, ())).max() == 0.0
 
@@ -255,12 +297,16 @@ def test_lindblad_rhs_rejects_b_target_on_single_qubit():
         lindblad_rhs(PLUS_X, (NoiseSpec("B", "phase", 1.0),))
 
 
+def integrate(rho0, specs, t, dt=DEFAULT_DT):
+    """RK4 state at a single time: the last point of a one-point path."""
+    return integrate_path(rho0, specs, [t], dt)[-1]
+
+
 def test_integrate_time_zero_and_bad_dt():
-    assert integrate(PLUS_X, (), 0.0) is PLUS_X
-    with pytest.raises(ValueError):
-        integrate(PLUS_X, (), 1.0, dt=2.0)
-    with pytest.raises(ValueError):
-        integrate(PLUS_X, (), 1.0, dt=0.0)
+    assert np.array_equal(integrate(PLUS_X, (), 0.0).mat, PLUS_X.mat)
+    for bad_dt in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            integrate(PLUS_X, (), 1.0, dt=bad_dt)
     with pytest.raises(ValueError):
         integrate(PLUS_X, (), -1.0)
 
@@ -299,7 +345,6 @@ def test_integrate_path_matches_integrate():
     times = [0.0, 0.4, 1.0]
     path = integrate_path(rho0, specs, times)
     for t, state in zip(times, path):
-        direct = integrate(rho0, specs, t) if t > 0 else rho0
-        assert np.abs(state.mat - direct.mat).max() < 1e-10
+        assert np.abs(state.mat - integrate(rho0, specs, t).mat).max() < 1e-10
     with pytest.raises(ValueError):
         integrate_path(rho0, specs, [0.5, 0.2])

@@ -193,6 +193,44 @@ def test_invalid_inputs_exit_2(capsys):
     assert run_cli(["esd", "--lambda", "4", "--format", "csv"], capsys)[0] == 2
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["esd", "--lambda", "4", "--t-max", "inf"] + COMBINED,
+                 id="esd-tmax-inf"),
+    pytest.param(["trace", "--lambda", "4", "--t-max", "nan"], id="trace-tmax-nan"),
+    pytest.param(["diagram", "--panel", "i", "--rate", "nan"], id="diagram-rate-nan"),
+    pytest.param(["diagram", "--panel", "i", "--rate", "inf"], id="diagram-rate-inf"),
+    pytest.param(["additivity", "--gamma1", "nan"], id="additivity-gamma1-nan"),
+    pytest.param(["additivity", "--dt", "0"], id="additivity-dt-zero"),
+    pytest.param(["additivity", "--dt", "-1"], id="additivity-dt-negative"),
+])
+def test_bad_numbers_exit_2_with_one_line(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_non_finite_config_values_exit_2(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    for key, value in (("t_max", math.inf), ("dt", math.nan), ("lambda", math.nan),
+                       ("samples", math.inf)):
+        path.write_text(json.dumps({"lambda": 4.0, key: value}), encoding="utf-8")
+        code, out, err = run_cli(["trace", "--config", str(path)], capsys)
+        assert code == 2, key
+        assert out == "" and len(err.splitlines()) == 1
+
+
+def test_reports_are_strict_json(capsys):
+    def reject(name):
+        raise ValueError(f"non-strict JSON constant {name}")
+
+    for argv in (["esd", "--lambda", "4", "--t-max", "20"] + COMBINED,
+                 ["additivity", "--samples", "5"]):
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        json.loads(out, parse_constant=reject)
+
+
 def test_missing_config_file_exit_1(capsys):
     code, _, err = run_cli(
         ["trace", "--lambda", "4", "--config", "/no/such/file.json"], capsys)

@@ -209,6 +209,23 @@ def test_esd_time_guards():
         esd_time(lambda_state(4.0), (), 0.0)
 
 
+def test_esd_time_rejects_non_finite_horizon():
+    for t_max in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            esd_time(lambda_state(4.0), symmetric("phase", 1.0), t_max)
+
+
+def test_esd_time_terminates_when_float_spacing_exceeds_resolution():
+    # rates of 1e-300 put the root near 6.7e299, where adjacent floats are
+    # far more than the 1e-10 resolution apart; the bisection must stop there
+    rate = 1e-300
+    state = lambda_state(4.0)
+    both = symmetric("amplitude", rate) + symmetric("phase", rate)
+    assert abs(classify(state, both).t_star * rate - T_STAR_COMBINED_4) < 1e-9
+    amp_only = classify(state, symmetric("amplitude", rate))
+    assert amp_only.kind is DecayKind.EXPONENTIAL
+
+
 def test_esd_time_accepts_general_density_matrix():
     specs = symmetric("amplitude", 1.0) + symmetric("phase", 1.0)
     t_x = esd_time(lambda_state(4.0), specs, 20.0)

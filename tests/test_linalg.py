@@ -7,8 +7,6 @@ from esdlab import (
     NumericalFailureError,
     PositivityError,
     TraceError,
-    dagger,
-    hermitian_eigvals,
     kron,
     partial_trace,
     product_spectrum,
@@ -55,40 +53,6 @@ def test_kron_bilinear_and_mixed_product(rng):
         assert np.abs(lhs - rhs).max() < 1e-12
 
 
-def test_dagger():
-    assert np.array_equal(dagger(I2), I2)
-    w = 0.6
-    assert np.array_equal(dagger(np.diag([0.0, w])), np.diag([0.0, w]))
-
-
-def test_dagger_involution(rng):
-    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    assert np.array_equal(dagger(dagger(a)), a)
-
-
-def test_hermitian_eigvals_examples():
-    got = hermitian_eigvals(np.diag([1.0, 0.0, 0.0, 0.0]))
-    assert np.allclose(got, [0, 0, 0, 1], atol=1e-15)
-    got = hermitian_eigvals(BELL)
-    assert np.allclose(got, [0, 0, 0, 1], atol=1e-12)
-    # benchmark state at lam = 4: central block eigenvalues (4 +- 4)/9
-    got = hermitian_eigvals(lambda_state(4.0).to_density().mat)
-    assert np.allclose(got, [0, 0, 1 / 9, 8 / 9], atol=1e-12)
-
-
-def test_hermitian_eigvals_rejects_non_hermitian():
-    bad = np.array([[0, 1], [0, 0]], dtype=complex)
-    with pytest.raises(ValueError):
-        hermitian_eigvals(bad)
-
-
-def test_hermitian_eigvals_sum_to_one(rng):
-    for _ in range(1000):
-        dim = 2 if rng.random() < 0.5 else 4
-        rho = random_density(rng, dim)
-        assert abs(hermitian_eigvals(rho.mat).sum() - 1.0) < 1e-10
-
-
 def test_product_spectrum_bell():
     got = product_spectrum(BELL @ spin_flipped(BELL))
     assert np.allclose(got, [1, 0, 0, 0], atol=1e-12)
@@ -130,6 +94,19 @@ def test_validate_density_accepts():
     assert dm.n_qubits == 2 and dm.dim == 4
     # boundary coherence |z| = sqrt(b c): smallest eigenvalue is exactly 0
     validate_density(lambda_state(4.0).to_density().mat)
+
+
+def test_validate_density_tol_loosens_trace_and_positivity():
+    drifted = np.diag([0.5, 0.5 + 5e-12, 0.0, 0.0])
+    with pytest.raises(TraceError):
+        validate_density(drifted)
+    assert validate_density(drifted, tol=1e-8).mat[1, 1] == drifted[1, 1]
+    dipped = np.diag([0.5, 0.5 + 5e-9, -5e-9, 0.0])
+    with pytest.raises(PositivityError):
+        validate_density(dipped)
+    validate_density(dipped, tol=1e-8)
+    with pytest.raises(TraceError):
+        validate_density(np.diag([0.5, 0.5 + 2e-8, 0.0, 0.0]), tol=1e-8)
 
 
 def test_validate_density_named_failures():
