@@ -16,7 +16,6 @@ from .linalg import (
     TraceError,
     ValidationError,
     kron,
-    partial_trace,
     product_spectrum,
     validate_density,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "lift",
     "lindblad_rhs",
     "noise_channel",
-    "partial_trace",
     "phase_concurrence",
     "product_spectrum",
     "qubit_channel",

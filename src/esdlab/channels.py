@@ -44,6 +44,10 @@ COMPLETENESS_TOL = 1e-10
 DEFAULT_DT = 1e-4
 # trace and positivity bound for RK4 states, which carry error from many steps
 INTEGRATOR_TOL = 1e-8
+# bounds on one integrate_path run: total RK4 steps, and step size times the
+# generator's spectral radius (RK4 is stable on the real axis down to -2.785)
+MAX_RK4_STEPS = 10**6
+RK4_STABILITY_LIMIT = 2.785
 
 TARGETS = ("A", "B")
 KINDS = ("amplitude", "phase")
@@ -164,14 +168,6 @@ def completeness_defect(ch: KrausChannel) -> float:
     return float(np.abs(acc - np.eye(ch.dim)).max())
 
 
-def kraus_sum(ch: KrausChannel, mat: np.ndarray) -> np.ndarray:
-    """sum K mat K^dag over the Kraus set, with no completeness or state check."""
-    out = np.zeros_like(mat)
-    for k in ch.ops:
-        out += k @ mat @ k.conj().T
-    return out
-
-
 def apply_channel(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     """Apply a complete channel: rho -> sum K rho K^dag, revalidated."""
     if ch.dim != rho.dim:
@@ -181,7 +177,10 @@ def apply_channel(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
         raise ValueError(
             f"channel completeness defect {defect:.3e} exceeds {COMPLETENESS_TOL:.0e}"
         )
-    return validate_density(kraus_sum(ch, rho.mat))
+    out = np.zeros_like(rho.mat)
+    for k in ch.ops:
+        out += k @ rho.mat @ k.conj().T
+    return validate_density(out)
 
 
 def qubit_channel(specs: Iterable[NoiseSpec], t: float, target: str) -> KrausChannel:
@@ -281,8 +280,10 @@ def integrate_path(
     """Fixed-step RK4 solutions of the master equation on an ascending time grid.
 
     One pass; each span between grid times is split into equal steps
-    h = span / ceil(span / dt) <= dt.  States are revalidated to
-    INTEGRATOR_TOL, and a failure becomes NumericalFailureError.
+    h = span / ceil(span / dt) <= dt.  Before the first step, a run of more
+    than MAX_RK4_STEPS steps, or with h times the generator's spectral
+    radius above RK4_STABILITY_LIMIT, raises ValueError.  States are
+    revalidated to INTEGRATOR_TOL, and a failure becomes NumericalFailureError.
     """
     specs = tuple(specs)
     times = [float(t) for t in times]
@@ -292,21 +293,29 @@ def integrate_path(
         raise ValueError(f"dt must be finite and > 0, got {dt}")
     dim = rho0.dim
     sup = _superoperator(specs, dim)
+    spans = [t - s for s, t in zip([0.0] + times, times)]
+    # capped before ceil, which cannot take the inf of a huge span / dt
+    counts = [math.ceil(min(span / dt - 1e-12, MAX_RK4_STEPS + 1)) for span in spans]
+    if sum(counts) > MAX_RK4_STEPS:
+        raise ValueError(f"dt {dt} needs more than {MAX_RK4_STEPS} RK4 steps")
+    h_max = max((span / n for span, n in zip(spans, counts) if n), default=0.0)
+    radius = float(np.abs(np.linalg.eigvals(sup)).max()) if h_max else 0.0
+    if h_max * radius > RK4_STABILITY_LIMIT:
+        raise ValueError(
+            f"RK4 step {h_max:.3g} times generator rate {radius:.3g} exceeds "
+            f"the stability limit {RK4_STABILITY_LIMIT}"
+        )
     step_cache: dict[float, np.ndarray] = {}
     out: list[DensityMatrix] = []
     vec = rho0.mat.reshape(dim * dim)
-    now = 0.0
-    for t in times:
-        span = t - now
-        if span > 0:
-            n_steps = math.ceil(span / dt - 1e-12)
+    for t, span, n_steps in zip(times, spans, counts):
+        if n_steps:
             h = span / n_steps
             if h not in step_cache:
                 step_cache[h] = _rk4_step_matrix(sup, h)
             step = step_cache[h]
             for _ in range(n_steps):
                 vec = step @ vec
-            now = t
         try:
             out.append(validate_density(vec.reshape(dim, dim), tol=INTEGRATOR_TOL))
         except ValidationError as exc:

@@ -1,11 +1,7 @@
 """Cross-validation suite: channel machinery against closed forms and integrator.
 
 Each check returns a CheckResult with its worst observed deviation and the
-tolerance it was held to.  The two keyword hooks exist for sensitivity
-tests: ``omega_shift`` perturbs the off-diagonal amplitude Kraus entry, and
-``keep_scale=False`` drops the 1/9 population normalization from the
-two-noise closed form.  Either one must make the suite fail; defaults leave
-the physics untouched.
+tolerance it was held to.
 """
 
 from __future__ import annotations
@@ -17,16 +13,12 @@ import numpy as np
 
 from .channels import (
     DEFAULT_DT,
-    KrausChannel,
     NoiseSpec,
     amplitude_channel,
     apply_channel,
     compose,
     dephasing_channel,
-    identity_channel,
     integrate_path,
-    kraus_sum,
-    lift,
     noise_channel,
 )
 from .closedform import (
@@ -68,25 +60,6 @@ def _result(name, worst, tol) -> CheckResult:
     return CheckResult(name, bool(worst <= tol), float(worst), float(tol))
 
 
-def _perturbed_amplitude(rate, t, omega_shift) -> KrausChannel:
-    ch = amplitude_channel(rate, t)
-    if omega_shift == 0.0:
-        return ch
-    broken = ch.ops[1].copy()
-    broken[1, 0] += omega_shift
-    return KrausChannel(2, (ch.ops[0], broken))
-
-
-def _evolved_lambda_matrix(lam, rate_amp, rate_phase, t, omega_shift=0.0):
-    """Benchmark state evolved with symmetric noise, without validity gating."""
-    one = identity_channel(2)
-    if rate_amp:
-        one = compose(one, _perturbed_amplitude(rate_amp, t, omega_shift))
-    if rate_phase:
-        one = compose(one, dephasing_channel(rate_phase, t))
-    return kraus_sum(lift(one, one), lambda_state(lam).to_density().mat)
-
-
 def additivity_series(gamma1: float, gamma2: float, times, dt=DEFAULT_DT) -> dict:
     """Single-qubit coherence along a grid: Kraus, integrator and analytic routes.
 
@@ -125,19 +98,14 @@ def additivity_series(gamma1: float, gamma2: float, times, dt=DEFAULT_DT) -> dic
     }
 
 
-def check_additivity(gamma1: float, gamma2: float, times) -> tuple[float, float]:
-    """Worst Kraus and integrator deviations from the summed-rate coherence law."""
-    series = additivity_series(gamma1, gamma2, times)
-    return series["max_dev_kraus"], series["max_dev_lindblad"]
-
-
 def _check_additivity_suite() -> list[CheckResult]:
     times = np.linspace(0.0, 5.0, 20)
     worst_k = worst_l = 0.0
     for g1 in (0.1, 1.0, 3.0):
         for g2 in (0.1, 1.0, 3.0):
-            wk, wl = check_additivity(g1, g2, times)
-            worst_k, worst_l = max(worst_k, wk), max(worst_l, wl)
+            series = additivity_series(g1, g2, times)
+            worst_k = max(worst_k, series["max_dev_kraus"])
+            worst_l = max(worst_l, series["max_dev_lindblad"])
     return [
         _result("additivity_kraus_vs_analytic", worst_k, ADDITIVITY_KRAUS_TOL),
         _result("additivity_lindblad_vs_analytic", worst_l, ADDITIVITY_LINDBLAD_TOL),
@@ -161,13 +129,15 @@ def _check_phase_law() -> CheckResult:
     return _result("phase_noise_concurrence", worst, 1e-10)
 
 
-def _check_amplitude_elements(omega_shift: float) -> CheckResult:
+def _check_amplitude_elements() -> CheckResult:
     worst = 0.0
     times = np.linspace(0.0, 5.0, N_TIMES)
     for lam in LAMBDAS:
+        rho0 = lambda_state(lam).to_density()
         for rate in RATES:
+            specs = _symmetric("amplitude", rate)
             for t in times:
-                m = _evolved_lambda_matrix(lam, rate, 0.0, t, omega_shift)
+                m = apply_channel(noise_channel(specs, t), rho0).mat
                 z, a, d = amplitude_elements(lam, rate, t)
                 worst = max(
                     worst,
@@ -196,8 +166,7 @@ def _check_amplitude_law() -> list[CheckResult]:
     ]
 
 
-def _check_combined_law(keep_scale: bool) -> CheckResult:
-    scale = 1.0 if keep_scale else 9.0
+def _check_combined_law() -> CheckResult:
     worst = 0.0
     times = np.linspace(0.0, 5.0, N_TIMES)
     for lam in LAMBDAS:
@@ -207,7 +176,7 @@ def _check_combined_law(keep_scale: bool) -> CheckResult:
                 specs = _symmetric("amplitude", g1) + _symmetric("phase", g2)
                 for t in times:
                     got = concurrence(apply_channel(noise_channel(specs, t), rho0))
-                    want = scale * combined_concurrence(lam, g1, g2, t)
+                    want = combined_concurrence(lam, g1, g2, t)
                     worst = max(worst, abs(got - want))
     return _result("combined_noise_concurrence", worst, 1e-10)
 
@@ -278,11 +247,11 @@ def equivalence_state():
     return validate_density(rho)
 
 
-def check_kraus_lindblad(specs, times, dt=DEFAULT_DT) -> float:
+def check_kraus_lindblad(specs, times) -> float:
     """Worst element-wise deviation between channel and integrator evolution."""
     rho0 = equivalence_state()
     worst = 0.0
-    states = integrate_path(rho0, specs, times, dt)
+    states = integrate_path(rho0, specs, times)
     for t, via_ode in zip(times, states):
         via_kraus = apply_channel(noise_channel(specs, t), rho0)
         worst = max(worst, float(np.abs(via_kraus.mat - via_ode.mat).max()))
@@ -296,14 +265,14 @@ def _check_equivalence() -> CheckResult:
     return _result("kraus_vs_lindblad", worst, 1e-6)
 
 
-def run_validation(omega_shift: float = 0.0, keep_scale: bool = True):
+def run_validation():
     """Run every cross-check; returns a list of CheckResult."""
     results = []
     results.extend(_check_additivity_suite())
     results.append(_check_phase_law())
-    results.append(_check_amplitude_elements(omega_shift))
+    results.append(_check_amplitude_elements())
     results.extend(_check_amplitude_law())
-    results.append(_check_combined_law(keep_scale))
+    results.append(_check_combined_law())
     results.append(_check_reductions())
     results.append(_check_witness())
     results.append(_check_equivalence())

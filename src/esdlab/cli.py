@@ -1,9 +1,10 @@
 """Command-line interface: evolutions, sweeps and validation reports.
 
-Subcommands: trace, esd, diagram, additivity, validate.  Run configuration
-comes from an optional JSON file (``--config``) with flags overriding file
-values.  Exit codes: 0 success, 1 I/O failure, 2 invalid configuration,
-3 separable initial state, 4 validation failure.
+Subcommands: trace, esd, diagram, additivity, validate.  The run
+configuration of trace and esd comes from an optional JSON file
+(``--config``) with flags overriding file values.  Exit codes: 0 success,
+1 I/O failure, 2 invalid configuration, 3 separable initial state,
+4 validation failure.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ EXIT_CONFIG = 2
 EXIT_SEPARABLE = 3
 EXIT_VALIDATION = 4
 
-_CONFIG_KEYS = {"state", "lambda", "noises", "t_max", "samples", "dt"}
+_CONFIG_KEYS = {"state", "lambda", "noises", "t_max", "samples"}
 
 
 class ConfigError(Exception):
@@ -56,13 +57,10 @@ class RunConfig:
     noises: tuple = ()
     t_max: float = 5.0
     samples: int = 100
-    dt: float = DEFAULT_DT
 
     def __post_init__(self):
-        for name in ("t_max", "dt"):
-            value = getattr(self, name)
-            if not (_finite(value) and value > 0):
-                raise ConfigError(f"{name} must be finite and > 0, got {value!r}")
+        if not (_finite(self.t_max) and self.t_max > 0):
+            raise ConfigError(f"t_max must be finite and > 0, got {self.t_max!r}")
         if self.lam is not None and not _finite(self.lam):
             raise ConfigError(f"lambda must be finite, got {self.lam!r}")
         if not isinstance(self.samples, int) or self.samples < 2:
@@ -99,7 +97,6 @@ class RunConfig:
         ]
         out["t_max"] = self.t_max
         out["samples"] = self.samples
-        out["dt"] = self.dt
         return out
 
     @classmethod
@@ -124,7 +121,7 @@ class RunConfig:
                 noises.append(NoiseSpec(row["target"], row["kind"], row["rate"]))
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"bad noise entry {row!r}: {exc}") from exc
-        given = {key: data[key] for key in ("t_max", "samples", "dt") if key in data}
+        given = {key: data[key] for key in ("t_max", "samples") if key in data}
         return cls(state=state, lam=data.get("lambda"), noises=tuple(noises), **given)
 
 
@@ -164,7 +161,7 @@ def load_config(args) -> RunConfig:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     cfg = RunConfig.from_json_dict(data)
     # flags override file values
-    flags = {key: getattr(args, key, None) for key in ("t_max", "samples", "dt")}
+    flags = {key: getattr(args, key, None) for key in ("t_max", "samples")}
     flags = {key: value for key, value in flags.items() if value is not None}
     if getattr(args, "state", None) is not None:
         flags.update(state=_parse_state(args.state), lam=None)
@@ -273,11 +270,13 @@ def cmd_additivity(args) -> int:
         raise ConfigError("need at least two samples")
     if args.t_max <= 0:
         raise ConfigError(f"--t-max must be > 0, got {args.t_max}")
-    dt = DEFAULT_DT if args.dt is None else args.dt
-    if dt <= 0:
-        raise ConfigError(f"--dt must be > 0, got {dt}")
+    if args.dt <= 0:
+        raise ConfigError(f"--dt must be > 0, got {args.dt}")
     times = np.linspace(0.0, args.t_max, args.samples)
-    series = additivity_series(args.gamma1, args.gamma2, times, dt=dt)
+    try:
+        series = additivity_series(args.gamma1, args.gamma2, times, dt=args.dt)
+    except ValueError as exc:  # a rate or step the RK4 route cannot take
+        raise ConfigError(str(exc)) from exc
     _emit_json(args, {"gamma1": args.gamma1, "gamma2": args.gamma2, **series})
     return EXIT_OK
 
@@ -292,23 +291,20 @@ def cmd_validate(args) -> int:
     return EXIT_OK if report["pass"] else EXIT_VALIDATION
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="JSON run configuration file")
+def _add_output(p: argparse.ArgumentParser, table: bool = False):
     p.add_argument("--output", help="output path (default: stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default=None)
-    p.add_argument("--seed", type=int, default=None,
-                   help="reserved; all computations are deterministic")
+    if table:
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
 def _add_state_flags(p: argparse.ArgumentParser):
+    p.add_argument("--config", help="JSON run configuration file")
     p.add_argument("--lambda", dest="lam", type=float,
                    help="benchmark-family parameter in (0, 4]")
     p.add_argument("--state", help="X state as 'a,b,c,d,z_re,z_im'")
     p.add_argument("--noise", action="append",
                    help="noise source TARGET:KIND:RATE, repeatable")
     p.add_argument("--t-max", dest="t_max", type=float)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--dt", type=float)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -320,49 +316,45 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("trace", help="concurrence along a time grid (CSV)")
-    _add_common(p)
+    _add_output(p, table=True)
     _add_state_flags(p)
+    p.add_argument("--samples", type=int)
     p.add_argument("--sweep-lambda", type=int, default=0, metavar="N",
                    help="sweep N family parameters in (0, 4] instead of one state")
-    p.set_defaults(func=cmd_trace, default_format="csv")
+    p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("esd", help="decay class and death time (JSON)")
-    _add_common(p)
+    _add_output(p)
     _add_state_flags(p)
-    p.set_defaults(func=cmd_esd, default_format="json")
+    p.set_defaults(func=cmd_esd)
 
     p = sub.add_parser("diagram", help="classification over the (a, |z|) plane (CSV)")
-    _add_common(p)
+    _add_output(p, table=True)
     p.add_argument("--panel", choices=tuple(_PANELS), required=True,
                    help="i: amplitude only, ii: phase only, iii: both")
     p.add_argument("--resolution", type=int, default=64)
     p.add_argument("--rate", type=float, default=1.0)
     p.add_argument("--t-max", dest="t_max", type=float, default=None)
-    p.set_defaults(func=cmd_diagram, default_format="csv")
+    p.set_defaults(func=cmd_diagram)
 
     p = sub.add_parser("additivity", help="single-qubit summed-rate check (JSON)")
-    _add_common(p)
+    _add_output(p)
     p.add_argument("--gamma1", type=float, default=1.0, help="amplitude rate")
     p.add_argument("--gamma2", type=float, default=1.0, help="phase rate")
     p.add_argument("--t-max", dest="t_max", type=float, default=5.0)
     p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--dt", type=float, default=None)
-    p.set_defaults(func=cmd_additivity, default_format="json")
+    p.add_argument("--dt", type=float, default=DEFAULT_DT)
+    p.set_defaults(func=cmd_additivity)
 
     p = sub.add_parser("validate", help="run the full cross-check suite (JSON)")
-    _add_common(p)
-    p.set_defaults(func=cmd_validate, default_format="json")
+    _add_output(p)
+    p.set_defaults(func=cmd_validate)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.format is None:
-        args.format = args.default_format
-    elif args.format == "csv" and args.default_format == "json":
-        print(f"error: {args.command} only emits JSON", file=sys.stderr)
-        return EXIT_CONFIG
     # every float flag, checked once here: nan and inf are never valid input
     for name, value in vars(args).items():
         if isinstance(value, float) and not math.isfinite(value):

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .concurrence import default_t_max, first_root
+from .concurrence import SCAN_POINTS, default_t_max, first_root
 
 
 def _check_lambda(lam: float):
@@ -100,26 +100,21 @@ def combined_concurrence(
 
 
 def combined_death_time(
-    lam: float,
-    rate_amp: float,
-    rate_phase: float,
-    t_max: Optional[float] = None,
-    scan_points: int = 512,
+    lam: float, rate_amp: float, rate_phase: float
 ) -> Optional[float]:
     """Root of the two-noise bracket, by bracketed bisection to 1e-12.
 
     Returns None when the bracket keeps its sign up to the horizon
-    (default 20 / min(positive rate)), meaning the decay stays exponential.
+    20 / min(positive rate), meaning the decay stays exponential.
     """
     _check_lambda(lam)
-    if t_max is None:
-        t_max = default_t_max((rate_amp, rate_phase))
+    t_max = default_t_max((rate_amp, rate_phase))
 
     def bracket(t: float) -> float:
         w2 = 1.0 - math.exp(-rate_amp * t)
         return lam * math.exp(-rate_phase * t) - math.sqrt(w2 * w2 + 8.0 * w2)
 
-    grid = np.linspace(0.0, t_max, scan_points + 1)
+    grid = np.linspace(0.0, t_max, SCAN_POINTS + 1)
     values = np.array([bracket(float(t)) for t in grid])
     root = first_root(bracket, grid, values, 1e-12)
     return None if root is None else float(root[0])

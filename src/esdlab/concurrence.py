@@ -21,6 +21,9 @@ from .channels import NoiseSpec, apply_channel, noise_channel
 from .linalg import DensityMatrix, kron, product_spectrum, validate_density
 
 DEATH_C_TOL = 1e-12
+# root scan: grid points on (0, t_max], and the bisection width of esd_time
+SCAN_POINTS = 512
+ESD_RESOLUTION = 1e-10
 _SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 _SPIN_FLIP = kron(_SIGMA_Y, _SIGMA_Y)
 
@@ -237,13 +240,11 @@ def esd_time(
     initial: Union[XState, DensityMatrix],
     specs: Iterable[NoiseSpec],
     t_max: float,
-    scan_points: int = 512,
-    resolution: float = 1e-10,
 ) -> Optional[float]:
     """Smallest time at which the concurrence hits zero and stays there.
 
-    The signed margin is scanned on ``scan_points`` points in (0, t_max];
-    the first sign change is refined by bisection to ``resolution`` and then
+    The signed margin is scanned on SCAN_POINTS points in (0, t_max]; the
+    first sign change is refined by bisection to ESD_RESOLUTION and then
     confirmed on eight points up to twice the candidate time (the zero of a
     genuine sudden death is absorbing).  Returns None when the concurrence
     stays positive on the whole grid, and raises SeparableStateError when
@@ -259,12 +260,12 @@ def esd_time(
 
     if margin(0.0) <= 0.0:
         raise SeparableStateError("initial state is separable (zero concurrence)")
-    grid = np.linspace(0.0, t_max, scan_points + 1)
+    grid = np.linspace(0.0, t_max, SCAN_POINTS + 1)
     margins = margins_at(grid)
 
     start = 1  # invariant: margins[start - 1] > 0
     while True:
-        root = first_root(margin, grid, margins, resolution, start)
+        root = first_root(margin, grid, margins, ESD_RESOLUTION, start)
         if root is None:
             return None
         t_star, idx = root
@@ -274,7 +275,7 @@ def esd_time(
             return float(t_star)
         # the zero was a graze: skip past this nonpositive pocket and rescan
         nxt = idx
-        while nxt <= scan_points and margins[nxt] <= 0.0:
+        while nxt <= SCAN_POINTS and margins[nxt] <= 0.0:
             nxt += 1
         start = nxt + 1
 

@@ -26,16 +26,16 @@ from esdlab import (
     esd_time,
     lambda_state,
     noise_channel,
-    partial_trace,
     phase_concurrence,
     trace_concurrence,
     validate_density,
 )
 from esdlab.checks import (
     EQUIVALENCE_PLACEMENTS,
-    check_additivity,
+    additivity_series,
     check_kraus_lindblad,
 )
+from esdlab.linalg import partial_trace
 
 from helpers import random_density, random_x_state
 
@@ -59,9 +59,9 @@ def test_criterion_01_single_qubit_additivity():
     worst_kraus = worst_lind = 0.0
     for g1 in (0.1, 1.0, 3.0):
         for g2 in (0.1, 1.0, 3.0):
-            wk, wl = check_additivity(g1, g2, times)
-            worst_kraus = max(worst_kraus, wk)
-            worst_lind = max(worst_lind, wl)
+            series = additivity_series(g1, g2, times)
+            worst_kraus = max(worst_kraus, series["max_dev_kraus"])
+            worst_lind = max(worst_lind, series["max_dev_lindblad"])
     elapsed = time.perf_counter() - start
     ok = worst_kraus <= 1e-10 and worst_lind <= 1e-6 and elapsed < 5.0
     _report(1, ok,

@@ -20,11 +20,11 @@ from esdlab import (
     lift,
     lindblad_rhs,
     noise_channel,
-    partial_trace,
     qubit_channel,
     validate_density,
 )
-from esdlab.channels import DEFAULT_DT
+from esdlab.channels import DEFAULT_DT, MAX_RK4_STEPS, RK4_STABILITY_LIMIT
+from esdlab.linalg import partial_trace
 
 from helpers import random_density, random_x_state
 
@@ -348,3 +348,17 @@ def test_integrate_path_matches_integrate():
         assert np.abs(state.mat - integrate(rho0, specs, t).mat).max() < 1e-10
     with pytest.raises(ValueError):
         integrate_path(rho0, specs, [0.5, 0.2])
+
+
+def test_integrate_path_rejects_runs_rk4_cannot_take():
+    for dt in (1e-9, 1e-320):  # 1e9 steps; a step count that overflows to inf
+        with pytest.raises(ValueError, match=f"more than {MAX_RK4_STEPS} RK4 steps"):
+            integrate(PLUS_X, (), 1.0, dt=dt)
+    # one amplitude spec of rate G: the generator's spectral radius is G;
+    # the step is h = 0.1 here
+    for rate in (1.01 * RK4_STABILITY_LIMIT / 0.1, 1e300):
+        with pytest.raises(ValueError, match="stability limit"):
+            integrate(PLUS_X, (NoiseSpec("A", "amplitude", rate),), 1.0, dt=0.1)
+    rate = 0.99 * RK4_STABILITY_LIMIT / 0.1
+    out = integrate(PLUS_X, (NoiseSpec("A", "amplitude", rate),), 1.0, dt=0.1)
+    assert 0.0 <= out.mat[0, 0].real < 0.5

@@ -1,11 +1,14 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import esdlab
 from esdlab import NoiseSpec, XState
 from esdlab.cli import ConfigError, RunConfig, main
 
@@ -150,7 +153,6 @@ def test_config_file_and_flag_override(tmp_path, capsys):
                    {"target": "B", "kind": "phase", "rate": 1.0}],
         "t_max": 2.0,
         "samples": 4,
-        "dt": 1e-4,
     }
     path = tmp_path / "run.json"
     path.write_text(json.dumps(cfg), encoding="utf-8")
@@ -169,16 +171,17 @@ def test_config_round_trip():
         noises=(NoiseSpec("A", "amplitude", 1.5), NoiseSpec("B", "phase", 0.25)),
         t_max=7.5,
         samples=33,
-        dt=2e-4,
     )
     assert RunConfig.from_json_dict(json.loads(json.dumps(cfg.to_json_dict()))) == cfg
-    lam_cfg = RunConfig(lam=3.25, noises=(), t_max=1.0, samples=2, dt=1e-3)
+    lam_cfg = RunConfig(lam=3.25, noises=(), t_max=1.0, samples=2)
     assert RunConfig.from_json_dict(lam_cfg.to_json_dict()) == lam_cfg
 
 
 def test_config_rejects_unknown_keys():
     with pytest.raises(ConfigError):
         RunConfig.from_json_dict({"lambda": 4.0, "bogus": 1})
+    with pytest.raises(ConfigError):  # no command that reads a config integrates
+        RunConfig.from_json_dict({"lambda": 4.0, "dt": 1e-4})
     with pytest.raises(ConfigError):
         RunConfig(lam=4.0, samples=1)
     with pytest.raises(ConfigError):
@@ -190,7 +193,9 @@ def test_invalid_inputs_exit_2(capsys):
     assert run_cli(["trace", "--lambda", "4", "--noise", "A:bogus:1"], capsys)[0] == 2
     assert run_cli(["trace", "--state", "1,2,3"], capsys)[0] == 2
     assert run_cli(["trace"], capsys)[0] == 2  # no state configured
-    assert run_cli(["esd", "--lambda", "4", "--format", "csv"], capsys)[0] == 2
+    with pytest.raises(SystemExit) as exc:  # esd only emits JSON: no --format
+        main(["esd", "--lambda", "4", "--format", "csv"])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("argv", [
@@ -202,6 +207,12 @@ def test_invalid_inputs_exit_2(capsys):
     pytest.param(["additivity", "--gamma1", "nan"], id="additivity-gamma1-nan"),
     pytest.param(["additivity", "--dt", "0"], id="additivity-dt-zero"),
     pytest.param(["additivity", "--dt", "-1"], id="additivity-dt-negative"),
+    # rejected before the first RK4 step: 5e9 steps, an overflowing step
+    # matrix, h times the rate 3 > 2.785, a doubled phase rate of inf
+    pytest.param(["additivity", "--dt", "1e-9"], id="additivity-dt-too-many-steps"),
+    pytest.param(["additivity", "--gamma1", "1e300"], id="additivity-gamma1-overflow"),
+    pytest.param(["additivity", "--gamma1", "3e4"], id="additivity-gamma1-unstable"),
+    pytest.param(["additivity", "--gamma2", "1e308"], id="additivity-gamma2-inf-rate"),
 ])
 def test_bad_numbers_exit_2_with_one_line(argv, capsys):
     code, out, err = run_cli(argv, capsys)
@@ -244,10 +255,41 @@ def test_unwritable_output_exit_1(capsys):
     assert code == 1
 
 
-def test_seed_flag_accepted(capsys):
+# every (command, flag) that was once accepted but changed nothing; each
+# value made the command exit 0 while the flag was accepted
+REMOVED_FLAGS = [
+    (["trace", "--lambda", "4", "--samples", "2"], "--seed", "7"),
+    (["esd", "--lambda", "4", "--noise", "A:phase:1"], "--seed", "7"),
+    (["diagram", "--panel", "ii", "--resolution", "8"], "--seed", "7"),
+    (["additivity", "--samples", "2"], "--seed", "7"),
+    (["validate"], "--seed", "7"),
+    (["diagram", "--panel", "ii", "--resolution", "8"], "--config", "/no/such.json"),
+    (["additivity", "--samples", "2"], "--config", "/no/such.json"),
+    (["validate"], "--config", "/no/such.json"),
+    (["trace", "--lambda", "4", "--samples", "2"], "--dt", "1e-4"),
+    (["esd", "--lambda", "4", "--noise", "A:phase:1"], "--dt", "1e-4"),
+    (["esd", "--lambda", "4", "--noise", "A:phase:1"], "--samples", "5"),
+    (["esd", "--lambda", "4", "--noise", "A:phase:1"], "--format", "json"),
+    (["additivity", "--samples", "2"], "--format", "json"),
+    (["validate"], "--format", "json"),
+]
+
+
+@pytest.mark.parametrize("argv,flag,value", REMOVED_FLAGS,
+                         ids=[f"{argv[0]}{flag}" for argv, flag, _ in REMOVED_FLAGS])
+def test_removed_flags_exit_2(argv, flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_additivity_coarse_stable_step_accepted(capsys):
+    # the one step per span is h = 5/19, and h times the rate 3 is 0.79
     code, out, _ = run_cli(
-        ["trace", "--lambda", "4", "--samples", "2", "--seed", "7"], capsys)
+        ["additivity", "--gamma1", "3", "--gamma2", "0.1", "--dt", "2"], capsys)
     assert code == 0
+    assert len(json.loads(out)["lindblad"]) == 20
 
 
 def test_validate_passes(capsys):
@@ -261,11 +303,15 @@ def test_validate_passes(capsys):
 
 
 def test_validate_failure_exit_code(capsys, monkeypatch):
-    import esdlab.cli as cli_mod
-    from esdlab.checks import run_validation
+    import esdlab.checks as checks
 
-    monkeypatch.setattr(
-        cli_mod, "run_validation", lambda: run_validation(omega_shift=1e-3))
+    law = checks.amplitude_elements
+
+    def shifted(lam, rate, t):
+        z, a, d = law(lam, rate, t)
+        return z + 1e-3, a, d
+
+    monkeypatch.setattr(checks, "amplitude_elements", shifted)
     code, out, _ = run_cli(["validate"], capsys)
     assert code == 4
     report = json.loads(out)
@@ -275,9 +321,13 @@ def test_validate_failure_exit_code(capsys, monkeypatch):
 
 
 def test_console_entry_point():
+    # the child imports the same esdlab as this test, installed or not
+    src = str(Path(esdlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run(
         [sys.executable, "-m", "esdlab.cli", "esd", "--lambda", "4",
          "--t-max", "20"] + COMBINED,
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["class"] == "SUDDEN_DEATH"

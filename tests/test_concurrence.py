@@ -22,10 +22,10 @@ from esdlab import (
     kron,
     lambda_state,
     noise_channel,
-    partial_trace,
     trace_concurrence,
     validate_density,
 )
+from esdlab.linalg import partial_trace
 
 from helpers import random_density, random_unitary, random_x_state
 

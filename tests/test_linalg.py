@@ -8,11 +8,11 @@ from esdlab import (
     PositivityError,
     TraceError,
     kron,
-    partial_trace,
     product_spectrum,
     validate_density,
 )
 from esdlab.concurrence import lambda_state, spin_flipped
+from esdlab.linalg import partial_trace
 
 from helpers import random_density, random_unitary
 
