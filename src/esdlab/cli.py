@@ -50,7 +50,7 @@ def _fmt(x: float) -> str:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Source of run parameters; round-trips losslessly through JSON."""
+    """Source of run parameters, read from a JSON object by ``from_json_dict``."""
 
     state: Optional[XState] = None
     lam: Optional[float] = None
@@ -78,26 +78,6 @@ class RunConfig:
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
         raise ConfigError("no initial state configured (need state or lambda)")
-
-    def to_json_dict(self) -> dict:
-        out: dict = {}
-        if self.lam is not None:
-            out["lambda"] = self.lam
-        if self.state is not None:
-            out["state"] = {
-                "a": self.state.a,
-                "b": self.state.b,
-                "c": self.state.c,
-                "d": self.state.d,
-                "z_re": self.state.z.real,
-                "z_im": self.state.z.imag,
-            }
-        out["noises"] = [
-            {"target": n.target, "kind": n.kind, "rate": n.rate} for n in self.noises
-        ]
-        out["t_max"] = self.t_max
-        out["samples"] = self.samples
-        return out
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RunConfig":
@@ -272,6 +252,9 @@ def cmd_additivity(args) -> int:
         raise ConfigError(f"--t-max must be > 0, got {args.t_max}")
     if args.dt <= 0:
         raise ConfigError(f"--dt must be > 0, got {args.dt}")
+    if not math.isfinite(2 * args.gamma2):
+        raise ConfigError(f"--gamma2 {args.gamma2} is too large: the RK4 route "
+                          "runs at the doubled phase rate 2 * gamma2, which overflows")
     times = np.linspace(0.0, args.t_max, args.samples)
     try:
         series = additivity_series(args.gamma1, args.gamma2, times, dt=args.dt)

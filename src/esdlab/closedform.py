@@ -116,5 +116,4 @@ def combined_death_time(
 
     grid = np.linspace(0.0, t_max, SCAN_POINTS + 1)
     values = np.array([bracket(float(t)) for t in grid])
-    root = first_root(bracket, grid, values, 1e-12)
-    return None if root is None else float(root[0])
+    return first_root(bracket, grid, values, 1e-12)

@@ -166,15 +166,21 @@ def test_config_file_and_flag_override(tmp_path, capsys):
 
 
 def test_config_round_trip():
-    cfg = RunConfig(
+    data = {
+        "state": {"a": 0.2, "b": 0.3, "c": 0.4, "d": 0.1, "z_re": 0.05, "z_im": -0.02},
+        "noises": [{"target": "A", "kind": "amplitude", "rate": 1.5},
+                   {"target": "B", "kind": "phase", "rate": 0.25}],
+        "t_max": 7.5,
+        "samples": 33,
+    }
+    assert RunConfig.from_json_dict(data) == RunConfig(
         state=XState(0.2, 0.3, 0.4, 0.1, complex(0.05, -0.02)),
         noises=(NoiseSpec("A", "amplitude", 1.5), NoiseSpec("B", "phase", 0.25)),
         t_max=7.5,
         samples=33,
     )
-    assert RunConfig.from_json_dict(json.loads(json.dumps(cfg.to_json_dict()))) == cfg
-    lam_cfg = RunConfig(lam=3.25, noises=(), t_max=1.0, samples=2)
-    assert RunConfig.from_json_dict(lam_cfg.to_json_dict()) == lam_cfg
+    data = {"lambda": 3.25, "noises": [], "t_max": 1.0, "samples": 2}
+    assert RunConfig.from_json_dict(data) == RunConfig(lam=3.25, t_max=1.0, samples=2)
 
 
 def test_config_rejects_unknown_keys():
@@ -219,6 +225,8 @@ def test_bad_numbers_exit_2_with_one_line(argv, capsys):
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    if "--gamma2" in argv:
+        assert "--gamma2" in err
 
 
 def test_non_finite_config_values_exit_2(tmp_path, capsys):

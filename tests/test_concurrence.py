@@ -43,6 +43,14 @@ def symmetric(kind, rate):
     return (NoiseSpec("A", kind, rate), NoiseSpec("B", kind, rate))
 
 
+def _random_local_noise(rng):
+    return tuple(
+        NoiseSpec(target, kind, rng.uniform(0.0, 2.0))
+        for target in "AB" for kind in ("amplitude", "phase")
+        if rng.random() < 0.8
+    )
+
+
 def test_x_state_validation():
     XState(0.25, 0.25, 0.25, 0.25, 0.1j)
     with pytest.raises(ValueError):
@@ -102,11 +110,7 @@ def test_concurrence_local_unitary_invariance(rng):
 def test_evolve_x_matches_channel_path(rng):
     for _ in range(100):
         x = random_x_state(rng)
-        specs = tuple(
-            NoiseSpec(target, kind, rng.uniform(0, 2))
-            for target in "AB" for kind in ("amplitude", "phase")
-            if rng.random() < 0.8
-        )
+        specs = _random_local_noise(rng)
         t = rng.uniform(0, 3)
         fast = evolve_x(x, specs, t)
         mat = apply_channel(noise_channel(specs, t), x.to_density()).mat
@@ -329,3 +333,70 @@ def test_diagram_grid_small():
     for cell in cells:
         if cell.z > 0.5 * (1 - cell.a) + 1e-12:
             assert cell.kind is DecayKind.INVALID
+
+
+def _entangled_general_state(rng):
+    while True:
+        psi = random_unitary(rng, 4)[:, 0]
+        pure = np.outer(psi, psi.conj())
+        p = 1.0 if rng.random() < 0.5 else rng.uniform(0.5, 1.0)
+        rho = validate_density(p * pure + (1.0 - p) * np.eye(4) / 4)
+        if concurrence(rho) > 0.05:
+            return rho
+
+
+def test_concurrence_never_rises_and_its_zero_is_absorbing(rng):
+    # local semigroup noise cannot create entanglement, so a root of the
+    # margin is a death time without any check past it
+    times = np.linspace(0.0, 4.0, 21)
+    states = [random_x_state(rng) for _ in range(30)]
+    states += [_entangled_general_state(rng) for _ in range(12)]
+    for state in states:
+        values = trace_concurrence(state, _random_local_noise(rng), times).values
+        assert np.diff(values).max() <= 1e-12
+        dead = np.flatnonzero(values == 0.0)
+        if len(dead):
+            assert np.all(values[dead[0]:] == 0.0)
+
+
+def test_amplitude_panel_boundary_cells_stay_exponential():
+    # a = |z|^2 is the edge of the death region under amplitude noise alone;
+    # the margin only touches zero at t = infinity there
+    a_cell, z_cell = np.linspace(0, 1, 64)[7], np.linspace(0, 0.5, 64)[42]
+    for rate in (0.5, 1.0, 2.0):
+        amp = symmetric("amplitude", rate)
+        [cell] = diagram_grid([a_cell], [z_cell], amp)
+        assert cell.kind is DecayKind.EXPONENTIAL
+        for z in np.linspace(0.05, 0.4, 8):
+            a = z * z
+            state = XState(a, 0.5 * (1 - a), 0.5 * (1 - a), 0.0, z)
+            assert classify(state, amp).kind is DecayKind.EXPONENTIAL, (rate, z)
+
+
+def test_underflow_keeps_the_late_root():
+    # a(t) = 1e-6 e^(-2t) reaches 0 near t = 366; the root is where
+    # |z| e^(-0.01 t) = sqrt(a d(t)) with d(t) = 1 to double precision
+    a = 1e-6
+    half = 0.5 * (1 - a)
+    specs = symmetric("amplitude", 1.0) + symmetric("phase", 0.01)
+    result = classify(XState(a, half, half, 0.0, half), specs)
+    assert result.t_star == pytest.approx(100 * math.log(half / math.sqrt(a)), rel=1e-6)
+
+
+def test_underflow_of_both_terms_is_no_death():
+    # |z| > sqrt(a) survives amplitude noise; both terms underflow near t = 745
+    state = XState(0.1, 0.45, 0.45, 0.0, 0.45)
+    assert esd_time(state, symmetric("amplitude", 1.0), 1000.0) is None
+
+
+def test_underflow_of_coherence_with_a_zero_is_no_death():
+    state = XState(0.0, 0.5, 0.5, 0.0, 0.3)
+    specs = symmetric("amplitude", 1.0) + symmetric("phase", 1000.0)
+    assert classify(state, specs).kind is DecayKind.EXPONENTIAL
+
+
+def test_underflow_of_coherence_with_d_zero_is_no_death():
+    # without amplitude noise d(t) stays 0 and C = 2 |z(t)| > 0 for all t
+    state = XState(0.2, 0.4, 0.4, 0.0, 0.3)
+    specs = (NoiseSpec("A", "phase", 1000.0), NoiseSpec("B", "phase", 1.0))
+    assert classify(state, specs).kind is DecayKind.EXPONENTIAL
