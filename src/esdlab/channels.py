@@ -36,11 +36,14 @@ from .linalg import (
     NumericalFailureError,
     ValidationError,
     as_matrix,
+    check_densities,
     kron,
     validate_density,
 )
 
 COMPLETENESS_TOL = 1e-10
+# grid times evolve_states takes through one stacked pass; bounds its memory
+BLOCK_TIMES = 64
 DEFAULT_DT = 1e-4
 # trace and positivity bound for RK4 states, which carry error from many steps
 INTEGRATOR_TOL = 1e-8
@@ -55,6 +58,13 @@ KINDS = ("amplitude", "phase")
 _SIGMA_MINUS = np.array([[0, 0], [1, 0]], dtype=np.complex128)  # |+> -> |->
 _SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 _I2 = np.eye(2, dtype=np.complex128)
+
+
+def check_rates(**rates: float):
+    """Raise ValueError, naming the argument, unless each rate is finite and >= 0."""
+    for name, rate in rates.items():
+        if not (math.isfinite(rate) and rate >= 0.0):
+            raise ValueError(f"{name} must be finite and >= 0, got {rate!r}")
 
 
 @dataclass(frozen=True)
@@ -74,8 +84,7 @@ class NoiseSpec:
             raise ValueError(f"target must be one of {TARGETS}, got {self.target!r}")
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if not (math.isfinite(self.rate) and self.rate >= 0.0):
-            raise ValueError(f"rate must be finite and >= 0, got {self.rate!r}")
+        check_rates(rate=self.rate)
 
 
 @dataclass(frozen=True)
@@ -96,12 +105,9 @@ class KrausChannel:
             raise ValueError(f"dim must be 2 or 4, got {self.dim}")
         if not self.ops:
             raise ValueError("a channel needs at least one Kraus matrix")
-        frozen = []
-        for op in self.ops:
-            a = as_matrix(op, dims=(self.dim,)).copy()
-            a.setflags(write=False)
-            frozen.append(a)
-        object.__setattr__(self, "ops", tuple(frozen))
+        ops = np.array([as_matrix(op, dims=(self.dim,)) for op in self.ops])
+        ops.setflags(write=False)
+        object.__setattr__(self, "ops", tuple(ops))
 
 
 def identity_channel(dim: int = 2) -> KrausChannel:
@@ -112,11 +118,28 @@ def dephasing_factors(rate: float, t: float) -> tuple[float, float]:
     """Damping pair (gamma, omega) with gamma = exp(-rate*t/2), gamma^2 + omega^2 = 1."""
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
-    if not (math.isfinite(rate) and rate >= 0):
-        raise ValueError(f"rate must be finite and >= 0, got {rate}")
+    check_rates(rate=rate)
     gamma = math.exp(-0.5 * rate * t)
     omega = math.sqrt(max(0.0, 1.0 - gamma * gamma))
     return gamma, omega
+
+
+def fold_rates(specs: Iterable[NoiseSpec]) -> dict:
+    """Summed rate per (target, kind) that occurs in ``specs``, added in spec order."""
+    rates: dict = {}
+    for s in specs:
+        rates[s.target, s.kind] = rates.get((s.target, s.kind), 0.0) + s.rate
+    return rates
+
+
+def _kind_stack(kind: str, rate: float, times: Sequence[float]) -> np.ndarray:
+    """(n_t, 2, 2, 2) Kraus pairs of one kind: diag(gamma, 1), and omega in K1
+    at |-><+| for amplitude, at |+><+| for phase."""
+    factors = np.array([dephasing_factors(rate, t) for t in times]).reshape(-1, 2)
+    ops = np.zeros((len(times), 2, 2, 2), dtype=np.complex128)
+    ops[:, 0, 0, 0], ops[:, 0, 1, 1] = factors[:, 0], 1.0
+    ops[:, 1, 1 if kind == "amplitude" else 0, 0] = factors[:, 1]
+    return ops
 
 
 def dephasing_channel(rate: float, t: float) -> KrausChannel:
@@ -126,10 +149,7 @@ def dephasing_channel(rate: float, t: float) -> KrausChannel:
     Applying the same channel twice gives the coherence factor gamma^2 =
     exp(-rate*t).
     """
-    gamma, omega = dephasing_factors(rate, t)
-    k0 = np.array([[gamma, 0], [0, 1]], dtype=np.complex128)
-    k1 = np.array([[omega, 0], [0, 0]], dtype=np.complex128)
-    return KrausChannel(2, (k0, k1))
+    return KrausChannel(2, tuple(_kind_stack("phase", rate, [t])[0]))
 
 
 def amplitude_channel(rate: float, t: float) -> KrausChannel:
@@ -138,49 +158,74 @@ def amplitude_channel(rate: float, t: float) -> KrausChannel:
     Populations map as p+ -> gamma^2 p+, p- -> p- + omega^2 p+; the
     coherence is multiplied by gamma.
     """
-    gamma, omega = dephasing_factors(rate, t)
-    k0 = np.array([[gamma, 0], [0, 1]], dtype=np.complex128)
-    k1 = np.array([[0, 0], [omega, 0]], dtype=np.complex128)
-    return KrausChannel(2, (k0, k1))
+    return KrausChannel(2, tuple(_kind_stack("amplitude", rate, [t])[0]))
+
+
+def _lift_stack(ops_a: np.ndarray, ops_b: np.ndarray) -> np.ndarray:
+    """(n_t, n_a n_b, 4, 4) stack {K_i (x) L_j}, op i * n_b + j, in kron's layout."""
+    prod = ops_a[:, :, None, :, None, :, None] * ops_b[:, None, :, None, :, None, :]
+    return prod.reshape(len(prod), ops_a.shape[1] * ops_b.shape[1], 4, 4)
 
 
 def lift(ch_a: KrausChannel, ch_b: KrausChannel) -> KrausChannel:
     """Two-qubit channel {K_i (x) L_j} from single-qubit channels for A and B."""
     if ch_a.dim != 2 or ch_b.dim != 2:
         raise ValueError("lift expects two single-qubit channels")
-    ops = tuple(kron(ka, kb) for ka in ch_a.ops for kb in ch_b.ops)
-    return KrausChannel(4, ops)
+    ops = _lift_stack(np.array(ch_a.ops)[None], np.array(ch_b.ops)[None])
+    return KrausChannel(4, tuple(ops[0]))
+
+
+def _compose_stack(first: np.ndarray, then: np.ndarray) -> np.ndarray:
+    """Stacked ``compose`` of (n_t, n_ops, d, d) stacks: op i * n_then + j is L_j K_i."""
+    return (then[:, None] @ first[:, :, None]).reshape(len(first), -1, *first.shape[2:])
 
 
 def compose(first: KrausChannel, then: KrausChannel) -> KrausChannel:
     """Channel applying ``first`` and then ``then``: Kraus set {L_j K_i}."""
     if first.dim != then.dim:
         raise ValueError(f"dimension mismatch: {first.dim} vs {then.dim}")
-    ops = tuple(l @ k for k in first.ops for l in then.ops)
-    return KrausChannel(first.dim, ops)
+    ops = _compose_stack(np.array(first.ops)[None], np.array(then.ops)[None])
+    return KrausChannel(first.dim, tuple(ops[0]))
+
+
+def _completeness_defect(ops: np.ndarray) -> float:
+    """Max-norm of sum(K^dag K) - 1, worst over an (n_t, n_ops, d, d) Kraus stack."""
+    gram = ops.conj().swapaxes(-1, -2) @ ops
+    gram = sum(gram.swapaxes(0, 1), np.zeros_like(gram[:, 0]))  # in op order
+    return float(np.abs(gram - np.eye(ops.shape[-1])).max())
 
 
 def completeness_defect(ch: KrausChannel) -> float:
     """Max-norm of sum(K^dag K) - 1."""
-    acc = np.zeros((ch.dim, ch.dim), dtype=np.complex128)
-    for k in ch.ops:
-        acc += k.conj().T @ k
-    return float(np.abs(acc - np.eye(ch.dim)).max())
+    return _completeness_defect(np.array(ch.ops)[None])
+
+
+def _kraus_sum(ops: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """sum K rho K^dag at each time of a complete (n_t, n_ops, d, d) Kraus stack."""
+    defect = _completeness_defect(ops)
+    if defect > COMPLETENESS_TOL:
+        raise ValueError(
+            f"channel completeness defect {defect:.3e} exceeds {COMPLETENESS_TOL:.0e}"
+        )
+    terms = ops @ rho @ ops.conj().swapaxes(-1, -2)
+    return sum(terms.swapaxes(0, 1), np.zeros_like(terms[:, 0]))  # in op order
 
 
 def apply_channel(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     """Apply a complete channel: rho -> sum K rho K^dag, revalidated."""
     if ch.dim != rho.dim:
         raise ValueError(f"dimension mismatch: channel {ch.dim}, state {rho.dim}")
-    defect = completeness_defect(ch)
-    if defect > COMPLETENESS_TOL:
-        raise ValueError(
-            f"channel completeness defect {defect:.3e} exceeds {COMPLETENESS_TOL:.0e}"
-        )
-    out = np.zeros_like(rho.mat)
-    for k in ch.ops:
-        out += k @ rho.mat @ k.conj().T
-    return validate_density(out)
+    return validate_density(_kraus_sum(np.array(ch.ops)[None], rho.mat)[0])
+
+
+def _qubit_stack(rates: dict, times: Sequence[float], target: str) -> np.ndarray:
+    """(n_t, n_ops, 2, 2) Kraus stack of one qubit's noise: the identity, then
+    each kind in ``rates`` at its summed rate, amplitude before phase."""
+    ops = np.broadcast_to(_I2, (len(times), 1, 2, 2))
+    for kind in KINDS:
+        if (target, kind) in rates:
+            ops = _compose_stack(ops, _kind_stack(kind, rates[(target, kind)], times))
+    return ops
 
 
 def qubit_channel(specs: Iterable[NoiseSpec], t: float, target: str) -> KrausChannel:
@@ -191,21 +236,34 @@ def qubit_channel(specs: Iterable[NoiseSpec], t: float, target: str) -> KrausCha
     before phase; the kinds commute in action, so the order only fixes the
     Kraus representative.
     """
-    rates: dict = {}
-    for s in specs:
-        if s.target == target:
-            rates[s.kind] = rates.get(s.kind, 0.0) + s.rate
-    builders = (("amplitude", amplitude_channel), ("phase", dephasing_channel))
-    parts = [build(rates[kind], t) for kind, build in builders if kind in rates]
-    if not parts:
-        return identity_channel(2)
-    return parts[0] if len(parts) == 1 else compose(*parts)
+    return KrausChannel(2, tuple(_qubit_stack(fold_rates(specs), [t], target)[0]))
 
 
 def noise_channel(specs: Iterable[NoiseSpec], t: float) -> KrausChannel:
     """Two-qubit channel for a noise set at elapsed time t."""
     specs = tuple(specs)
     return lift(qubit_channel(specs, t, "A"), qubit_channel(specs, t, "B"))
+
+
+def evolve_states(
+    rho0: DensityMatrix, specs: Iterable[NoiseSpec], times: Sequence[float]
+) -> np.ndarray:
+    """States of a two-qubit rho0 under a noise set at each grid time, (n_t, 4, 4).
+
+    Equal, bit for bit, to stacking apply_channel(noise_channel(specs, t),
+    rho0).mat over the grid, with the same checks: the same Kraus matrices,
+    applied in the same order by stacked matmuls, BLOCK_TIMES times at once.
+    """
+    if rho0.dim != 4:
+        raise ValueError(f"dimension mismatch: channel 4, state {rho0.dim}")
+    rates = fold_rates(specs)
+    times = [float(t) for t in times]
+    out = np.empty((len(times), 4, 4), dtype=np.complex128)
+    for lo in range(0, len(times), BLOCK_TIMES):
+        block = times[lo:lo + BLOCK_TIMES]
+        ops = _lift_stack(_qubit_stack(rates, block, "A"), _qubit_stack(rates, block, "B"))
+        out[lo:lo + len(block)] = check_densities(_kraus_sum(ops, rho0.mat))
+    return out
 
 
 def _lift_op(op: np.ndarray, target: str, n_qubits: int) -> np.ndarray:

@@ -18,8 +18,8 @@ from .channels import (
     apply_channel,
     compose,
     dephasing_channel,
+    evolve_states,
     integrate_path,
-    noise_channel,
 )
 from .closedform import (
     amplitude_concurrence,
@@ -29,7 +29,7 @@ from .closedform import (
     combined_death_time,
     phase_concurrence,
 )
-from .concurrence import concurrence, esd_time, lambda_state
+from .concurrence import esd_time, lambda_state, trace_concurrence
 from .linalg import validate_density
 
 LAMBDAS = (1.0, 2.0, 3.0, 3.5, 4.0)
@@ -123,9 +123,9 @@ def _check_phase_law() -> CheckResult:
         rho0 = lambda_state(lam).to_density()
         for rate in RATES:
             specs = _symmetric("phase", rate)
-            for t in times:
-                got = concurrence(apply_channel(noise_channel(specs, t), rho0))
-                worst = max(worst, abs(got - phase_concurrence(lam, rate, t)))
+            got = trace_concurrence(rho0, specs, times).values
+            for t, c in zip(times, got):
+                worst = max(worst, abs(c - phase_concurrence(lam, rate, t)))
     return _result("phase_noise_concurrence", worst, 1e-10)
 
 
@@ -136,8 +136,7 @@ def _check_amplitude_elements() -> CheckResult:
         rho0 = lambda_state(lam).to_density()
         for rate in RATES:
             specs = _symmetric("amplitude", rate)
-            for t in times:
-                m = apply_channel(noise_channel(specs, t), rho0).mat
+            for t, m in zip(times, evolve_states(rho0, specs, times)):
                 z, a, d = amplitude_elements(lam, rate, t)
                 worst = max(
                     worst,
@@ -155,9 +154,10 @@ def _check_amplitude_law() -> list[CheckResult]:
         rho0 = lambda_state(lam).to_density()
         for rate in RATES:
             specs = _symmetric("amplitude", rate)
-            for t in np.linspace(0.0, 5.0 / rate, N_TIMES):
-                got = concurrence(apply_channel(noise_channel(specs, t), rho0))
-                worst = max(worst, abs(got - amplitude_concurrence(lam, rate, t)))
+            times = np.linspace(0.0, 5.0 / rate, N_TIMES)
+            got = trace_concurrence(rho0, specs, times).values
+            for t, c in zip(times, got):
+                worst = max(worst, abs(c - amplitude_concurrence(lam, rate, t)))
             if esd_time(lambda_state(lam), specs, 20.0 / rate) is not None:
                 survived = False
     return [
@@ -174,10 +174,9 @@ def _check_combined_law() -> CheckResult:
         for g1 in RATES:
             for g2 in RATES:
                 specs = _symmetric("amplitude", g1) + _symmetric("phase", g2)
-                for t in times:
-                    got = concurrence(apply_channel(noise_channel(specs, t), rho0))
-                    want = combined_concurrence(lam, g1, g2, t)
-                    worst = max(worst, abs(got - want))
+                got = trace_concurrence(rho0, specs, times).values
+                for t, c in zip(times, got):
+                    worst = max(worst, abs(c - combined_concurrence(lam, g1, g2, t)))
     return _result("combined_noise_concurrence", worst, 1e-10)
 
 
@@ -250,12 +249,8 @@ def equivalence_state():
 def check_kraus_lindblad(specs, times) -> float:
     """Worst element-wise deviation between channel and integrator evolution."""
     rho0 = equivalence_state()
-    worst = 0.0
-    states = integrate_path(rho0, specs, times)
-    for t, via_ode in zip(times, states):
-        via_kraus = apply_channel(noise_channel(specs, t), rho0)
-        worst = max(worst, float(np.abs(via_kraus.mat - via_ode.mat).max()))
-    return worst
+    via_ode = np.array([s.mat for s in integrate_path(rho0, specs, times)])
+    return float(np.abs(evolve_states(rho0, specs, times) - via_ode).max())
 
 
 def _check_equivalence() -> CheckResult:

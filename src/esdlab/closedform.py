@@ -20,11 +20,13 @@ single-noise forms only decay exponentially.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Optional
 
 import numpy as np
 
+from .channels import check_rates
 from .concurrence import SCAN_POINTS, default_t_max, first_root
 
 
@@ -45,6 +47,7 @@ def coherence_factor(rate_amp: float, rate_phase: float, t: float) -> float:
     decay rate is the sum of the halved longitudinal rate and the full
     transverse rate.
     """
+    check_rates(rate_amp=rate_amp, rate_phase=rate_phase)
     _check_time(t)
     return math.exp(-(0.5 * rate_amp + rate_phase) * t)
 
@@ -52,6 +55,7 @@ def coherence_factor(rate_amp: float, rate_phase: float, t: float) -> float:
 def phase_concurrence(lam: float, rate: float, t: float) -> float:
     """Concurrence under symmetric phase noise: (2 lam / 9) exp(-rate t)."""
     _check_lambda(lam)
+    check_rates(rate=rate)
     _check_time(t)
     return (2.0 * lam / 9.0) * math.exp(-rate * t)
 
@@ -59,6 +63,7 @@ def phase_concurrence(lam: float, rate: float, t: float) -> float:
 def amplitude_elements(lam: float, rate: float, t: float):
     """Matrix elements (z, a, d) under symmetric amplitude noise."""
     _check_lambda(lam)
+    check_rates(rate=rate)
     _check_time(t)
     decay = math.exp(-rate * t)
     w2 = 1.0 - decay
@@ -68,8 +73,10 @@ def amplitude_elements(lam: float, rate: float, t: float):
     return z, a, d
 
 
-def _amp_bracket(lam: float, w2: float) -> float:
-    return lam - math.sqrt(w2 * w2 + 8.0 * w2)
+def _bracket(lam: float, rate_amp: float, rate_phase: float, t: float) -> float:
+    """lam exp(-rate_phase t) - sqrt(w2^2 + 8 w2), with w2 = 1 - exp(-rate_amp t)."""
+    w2 = 1.0 - math.exp(-rate_amp * t)
+    return lam * math.exp(-rate_phase * t) - math.sqrt(w2 * w2 + 8.0 * w2)
 
 
 def amplitude_concurrence(lam: float, rate: float, t: float) -> float:
@@ -83,9 +90,9 @@ def amplitude_concurrence(lam: float, rate: float, t: float) -> float:
             f"closed form holds for 3 <= lambda <= 4, got {lam}; "
             "use amplitude_elements for the general case"
         )
+    check_rates(rate=rate)
     _check_time(t)
-    w2 = 1.0 - math.exp(-rate * t)
-    return (2.0 / 9.0) * _amp_bracket(lam, w2) * math.exp(-rate * t)
+    return (2.0 / 9.0) * _bracket(lam, rate, 0.0, t) * math.exp(-rate * t)
 
 
 def combined_concurrence(
@@ -93,9 +100,9 @@ def combined_concurrence(
 ) -> float:
     """Concurrence under simultaneous symmetric amplitude and phase noise."""
     _check_lambda(lam)
+    check_rates(rate_amp=rate_amp, rate_phase=rate_phase)
     _check_time(t)
-    w2 = 1.0 - math.exp(-rate_amp * t)
-    bracket = lam * math.exp(-rate_phase * t) - math.sqrt(w2 * w2 + 8.0 * w2)
+    bracket = _bracket(lam, rate_amp, rate_phase, t)
     return (2.0 / 9.0) * math.exp(-rate_amp * t) * max(0.0, bracket)
 
 
@@ -108,12 +115,9 @@ def combined_death_time(
     20 / min(positive rate), meaning the decay stays exponential.
     """
     _check_lambda(lam)
+    check_rates(rate_amp=rate_amp, rate_phase=rate_phase)
     t_max = default_t_max((rate_amp, rate_phase))
-
-    def bracket(t: float) -> float:
-        w2 = 1.0 - math.exp(-rate_amp * t)
-        return lam * math.exp(-rate_phase * t) - math.sqrt(w2 * w2 + 8.0 * w2)
-
+    bracket = functools.partial(_bracket, lam, rate_amp, rate_phase)
     grid = np.linspace(0.0, t_max, SCAN_POINTS + 1)
     values = np.array([bracket(float(t)) for t in grid])
     return first_root(bracket, grid, values, 1e-12)

@@ -10,6 +10,7 @@ merely became tiny.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -17,7 +18,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .channels import NoiseSpec, apply_channel, noise_channel
+from .channels import BLOCK_TIMES, KINDS, TARGETS, NoiseSpec, evolve_states, fold_rates
 from .linalg import DensityMatrix, kron, product_spectrum, validate_density
 
 # root scan: grid points on (0, t_max], and the bisection width of esd_time
@@ -87,12 +88,17 @@ def spin_flipped(mat: np.ndarray) -> np.ndarray:
     return _SPIN_FLIP @ mat.conj() @ _SPIN_FLIP
 
 
+def concurrence_margins(mats) -> np.ndarray:
+    """Signed margins of a (..., 4, 4) stack of two-qubit density matrices."""
+    roots = np.sqrt(product_spectrum(mats @ spin_flipped(mats)))
+    return roots[..., 0] - roots[..., 1] - roots[..., 2] - roots[..., 3]
+
+
 def concurrence_margin(rho: DensityMatrix) -> float:
     """Signed margin m with concurrence = max(0, m), from the general formula."""
     if rho.n_qubits != 2:
         raise ValueError("concurrence is defined for two-qubit states")
-    roots = np.sqrt(product_spectrum(rho.mat @ spin_flipped(rho.mat)))
-    return float(roots[0] - roots[1] - roots[2] - roots[3])
+    return float(concurrence_margins(rho.mat))
 
 
 def concurrence(rho: DensityMatrix) -> float:
@@ -105,12 +111,10 @@ def concurrence_x(x: XState) -> float:
     return 2.0 * max(0.0, abs(x.z) - math.sqrt(x.a * x.d))
 
 
-def _rate_sums(specs: Iterable[NoiseSpec]):
-    amp = {"A": 0.0, "B": 0.0}
-    ph = {"A": 0.0, "B": 0.0}
-    for s in specs:
-        (amp if s.kind == "amplitude" else ph)[s.target] += s.rate
-    return amp, ph
+def _x_rates(specs: Iterable[NoiseSpec]) -> list[float]:
+    """Summed rates [amplitude A, amplitude B, phase A, phase B]."""
+    rates = fold_rates(specs)
+    return [rates.get((q, kind), 0.0) for kind in KINDS for q in TARGETS]
 
 
 def evolve_x(x: XState, specs: Iterable[NoiseSpec], t: float) -> XState:
@@ -123,9 +127,9 @@ def evolve_x(x: XState, specs: Iterable[NoiseSpec], t: float) -> XState:
     """
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
-    amp, ph = _rate_sums(specs)
-    ga, gb = math.exp(-amp["A"] * t), math.exp(-amp["B"] * t)
-    zf = math.exp(-0.5 * (amp["A"] + ph["A"] + amp["B"] + ph["B"]) * t)
+    amp_a, amp_b, ph_a, ph_b = _x_rates(specs)
+    ga, gb = math.exp(-amp_a * t), math.exp(-amp_b * t)
+    zf = math.exp(-0.5 * (amp_a + ph_a + amp_b + ph_b) * t)
     a = ga * gb * x.a
     b = ga * ((1 - gb) * x.a + x.b)
     c = gb * ((1 - ga) * x.a + x.c)
@@ -133,7 +137,7 @@ def evolve_x(x: XState, specs: Iterable[NoiseSpec], t: float) -> XState:
     return XState(a, b, c, d, zf * x.z)
 
 
-def _x_margins(x: XState, specs, times: np.ndarray) -> np.ndarray:
+def _x_margins(x: XState, rates: list[float], times: np.ndarray) -> np.ndarray:
     """Vectorized X-state margin |z(t)| - sqrt(a(t) d(t)), up to a positive factor.
 
     Only the sign is used.  Both terms share the amplitude decay
@@ -141,11 +145,11 @@ def _x_margins(x: XState, specs, times: np.ndarray) -> np.ndarray:
     |z| exp(-(ph_A + ph_B) t / 2) - sqrt(a0 d(t)); where a0 d(t) is exactly 0
     the value is |z|.  Either way no sign is lost when a term underflows.
     """
-    amp, ph = _rate_sums(specs)
-    ua = 1 - np.exp(-amp["A"] * times)
-    ub = 1 - np.exp(-amp["B"] * times)
+    amp_a, amp_b, ph_a, ph_b = rates
+    ua = 1 - np.exp(-amp_a * times)
+    ub = 1 - np.exp(-amp_b * times)
     ad = x.a * (ua * ub * x.a + ua * x.b + ub * x.c + x.d)
-    zf = np.exp(-0.5 * (ph["A"] + ph["B"]) * times)
+    zf = np.exp(-0.5 * (ph_a + ph_b) * times)
     return np.where(ad == 0.0, abs(x.z), abs(x.z) * zf - np.sqrt(ad))
 
 
@@ -179,6 +183,25 @@ def _check_times(times: np.ndarray):
         raise ValueError("times must be ascending and start at t >= 0")
 
 
+def _x_entry_margins(states: np.ndarray) -> np.ndarray:
+    """2 (|z| - sqrt(max(0, a d))), read off a stack of X-shaped states."""
+    ad = states[:, 0, 0].real * states[:, 3, 3].real
+    z = states[:, 1, 2]
+    # hypot, not np.abs: it matches the scalar abs() bit for bit
+    return 2.0 * (np.hypot(z.real, z.imag) - np.sqrt(np.where(ad > 0.0, ad, 0.0)))
+
+
+def _evolved_margins(initial, specs: tuple, times) -> np.ndarray:
+    """Margins of the Kraus-evolved states, BLOCK_TIMES times at a time."""
+    is_x = isinstance(initial, XState)
+    rho0 = initial.to_density() if is_x else initial
+    margins = _x_entry_margins if is_x else concurrence_margins
+    return np.concatenate([
+        margins(evolve_states(rho0, specs, times[lo:lo + BLOCK_TIMES]))
+        for lo in range(0, len(times), BLOCK_TIMES)
+    ])
+
+
 def trace_concurrence(
     initial: Union[XState, DensityMatrix],
     specs: Iterable[NoiseSpec],
@@ -188,22 +211,14 @@ def trace_concurrence(
 
     The state is propagated with the lifted Kraus channels built at each
     grid time (never by composing earlier steps), so there is no error
-    accumulation along the grid.
+    accumulation along the grid; ``evolve_states`` applies them in stacked
+    blocks.
     """
     specs = tuple(specs)
     times = np.asarray(times, dtype=float)
     _check_times(times)
-    is_x = isinstance(initial, XState)
-    rho0 = initial.to_density() if is_x else initial
-    values = np.empty_like(times)
-    for i, t in enumerate(times):
-        rho_t = apply_channel(noise_channel(specs, float(t)), rho0)
-        if is_x:
-            m = rho_t.mat
-            root = math.sqrt(max(0.0, m[0, 0].real * m[3, 3].real))
-            values[i] = 2.0 * max(0.0, abs(m[1, 2]) - root)
-        else:
-            values[i] = concurrence(rho_t)
+    margins = _evolved_margins(initial, specs, times)
+    values = np.where(margins > 0.0, margins, 0.0)
     return ConcurrenceTrace(times=times, values=values, specs=specs, initial=initial)
 
 
@@ -231,16 +246,6 @@ def first_root(margin, grid, values, resolution: float) -> Optional[float]:
     return hi
 
 
-def _margins_fn(initial, specs):
-    """Concurrence margin on an array of times, for either state kind."""
-    if isinstance(initial, XState):
-        return lambda times: _x_margins(initial, specs, times)
-    return lambda times: np.array([
-        concurrence_margin(apply_channel(noise_channel(specs, float(t)), initial))
-        for t in times
-    ])
-
-
 def esd_time(
     initial: Union[XState, DensityMatrix],
     specs: Iterable[NoiseSpec],
@@ -258,7 +263,10 @@ def esd_time(
     specs = tuple(specs)
     if not (math.isfinite(t_max) and t_max > 0):
         raise ValueError(f"t_max must be finite and > 0, got {t_max}")
-    margins_at = _margins_fn(initial, specs)
+    if isinstance(initial, XState):
+        margins_at = functools.partial(_x_margins, initial, _x_rates(specs))
+    else:
+        margins_at = functools.partial(_evolved_margins, initial, specs)
 
     def margin(t: float) -> float:
         return float(margins_at(np.asarray([t]))[0])

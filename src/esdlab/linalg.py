@@ -40,16 +40,23 @@ class NumericalFailureError(RuntimeError):
     """A numerical routine left its guaranteed regime."""
 
 
-def as_matrix(m, dims=(2, 4)) -> np.ndarray:
-    """Coerce to a square complex matrix whose dimension is in ``dims``."""
+def as_stack(m, dims=(2, 4)) -> np.ndarray:
+    """Coerce to a (..., n, n) stack of square complex matrices with n in ``dims``."""
     a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] not in dims:
-        raise ValueError(f"expected dimension in {dims}, got {a.shape[0]}")
+    if a.shape[-1] not in dims:
+        raise ValueError(f"expected dimension in {dims}, got {a.shape[-1]}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
     return a
+
+
+def as_matrix(m, dims=(2, 4)) -> np.ndarray:
+    """Coerce to a square complex matrix whose dimension is in ``dims``."""
+    if np.ndim(m) != 2:
+        raise ValueError(f"expected a square matrix, got shape {np.shape(m)}")
+    return as_stack(m, dims)
 
 
 def kron(a, b) -> np.ndarray:
@@ -64,15 +71,15 @@ def kron(a, b) -> np.ndarray:
 
 
 def product_spectrum(m) -> np.ndarray:
-    """Eigenvalues of a spin-flip product matrix, descending, clamped to >= 0.
+    """Eigenvalues of spin-flip product matrices, descending, clamped to >= 0.
 
-    The input must be of the form rho @ rho_tilde for a valid two-qubit
-    density matrix; that product is not Hermitian but its spectrum is real
-    and nonnegative up to roundoff.  Imaginary parts and negative parts up
-    to 1e-9 are discarded; parts beyond 1e-6 raise NumericalFailureError
-    because they mean the input was not such a product.
+    ``m`` is one 4x4 matrix or a (..., 4, 4) stack, each rho @ rho_tilde for
+    a valid two-qubit density matrix; that product is not Hermitian but its
+    spectrum is real and nonnegative up to roundoff.  Imaginary and negative
+    parts up to 1e-9 are discarded; parts beyond 1e-6 anywhere raise
+    NumericalFailureError because they mean the input was not such a product.
     """
-    m = as_matrix(m, dims=(4,))
+    m = as_stack(m, dims=(4,))
     vals = np.linalg.eigvals(m)
     worst_imag = np.abs(vals.imag).max()
     worst_neg = -min(vals.real.min(), 0.0)
@@ -84,7 +91,7 @@ def product_spectrum(m) -> np.ndarray:
         )
     real = vals.real.copy()
     real[real < 0.0] = 0.0
-    return np.sort(real)[::-1]
+    return np.sort(real, axis=-1)[..., ::-1]
 
 
 @dataclass(frozen=True)
@@ -103,6 +110,34 @@ class DensityMatrix:
         return 2 ** self.n_qubits
 
 
+def check_densities(m, tol: Optional[float] = None) -> np.ndarray:
+    """Validate a (..., n, n) stack of density operators; returns it as complex.
+
+    ``validate_density`` is the one-matrix case; on a stack, each property is
+    checked over all matrices in turn and the error reports the worst one.
+    """
+    trace_tol = TRACE_TOL if tol is None else tol
+    positivity_tol = POSITIVITY_TOL if tol is None else tol
+    a = as_stack(m)
+    adjoint = a.conj().swapaxes(-1, -2)
+    herm_defect = np.abs(a - adjoint).max()
+    if herm_defect > HERMITICITY_TOL:
+        raise HermiticityError(
+            f"hermiticity defect {herm_defect:.3e} exceeds {HERMITICITY_TOL:.0e}"
+        )
+    trace = np.trace(a, axis1=-2, axis2=-1) - 1.0
+    # hypot, not np.abs: it matches the scalar abs() bit for bit
+    trace_defect = np.hypot(trace.real, trace.imag).max()
+    if trace_defect > trace_tol:
+        raise TraceError(f"trace defect {trace_defect:.3e} exceeds {trace_tol:.0e}")
+    smallest = np.linalg.eigvalsh(0.5 * (a + adjoint))[..., 0].min()
+    if smallest < -positivity_tol:
+        raise PositivityError(
+            f"smallest eigenvalue {smallest:.3e} below -{positivity_tol:.0e}"
+        )
+    return a
+
+
 def validate_density(m, tol: Optional[float] = None) -> DensityMatrix:
     """Validate a matrix as a density operator and wrap it.
 
@@ -111,23 +146,7 @@ def validate_density(m, tol: Optional[float] = None) -> DensityMatrix:
     POSITIVITY_TOL (the bounds on the trace defect and on how far below zero
     the smallest eigenvalue may sit); only the RK4 integrator loosens them.
     """
-    trace_tol = TRACE_TOL if tol is None else tol
-    positivity_tol = POSITIVITY_TOL if tol is None else tol
-    a = as_matrix(m)
-    herm_defect = np.abs(a - a.conj().T).max()
-    if herm_defect > HERMITICITY_TOL:
-        raise HermiticityError(
-            f"hermiticity defect {herm_defect:.3e} exceeds {HERMITICITY_TOL:.0e}"
-        )
-    trace_defect = abs(a.trace() - 1.0)
-    if trace_defect > trace_tol:
-        raise TraceError(f"trace defect {trace_defect:.3e} exceeds {trace_tol:.0e}")
-    smallest = np.linalg.eigvalsh(0.5 * (a + a.conj().T))[0]
-    if smallest < -positivity_tol:
-        raise PositivityError(
-            f"smallest eigenvalue {smallest:.3e} below -{positivity_tol:.0e}"
-        )
-    a = a.copy()
+    a = check_densities(as_matrix(m), tol).copy()
     a.setflags(write=False)
     return DensityMatrix(n_qubits=1 if a.shape[0] == 2 else 2, mat=a)
 

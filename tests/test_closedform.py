@@ -102,3 +102,28 @@ def test_witness_non_additivity():
         assert combined_death_time(lam, 1.0, 1.0) is not None
         assert combined_death_time(lam, 1.0, 0.0) is None
         assert combined_death_time(lam, 0.0, 1.0) is None
+
+
+@pytest.mark.parametrize("func, args, name", [
+    (combined_death_time, (4, math.nan, 1), "rate_amp"),  # was None: "no death"
+    (combined_death_time, (4, 1, math.inf), "rate_phase"),  # was t* = 5.7e-13
+    (combined_death_time, (4, -1, 0), "rate_amp"),  # was a math domain error
+    (combined_concurrence, (4, -1, 1, 1), "rate_amp"),  # was a math domain error
+    (phase_concurrence, (4, -1, 2), "rate"),  # was 6.57, a concurrence above 1
+], ids=["death_time_nan", "death_time_inf", "death_time_negative",
+        "combined_negative", "phase_negative"])
+def test_closed_forms_reject_invalid_rates(func, args, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite and >= 0"):
+        func(*args)
+
+
+def test_every_closed_form_checks_its_rates():
+    for bad in (-1.0, math.inf, math.nan):
+        for call in (lambda: coherence_factor(bad, 0.0, 1.0),
+                     lambda: coherence_factor(0.0, bad, 1.0),
+                     lambda: amplitude_elements(4.0, bad, 1.0),
+                     lambda: amplitude_concurrence(4.0, bad, 1.0),
+                     lambda: combined_concurrence(4.0, 1.0, bad, 1.0),
+                     lambda: combined_death_time(4.0, 1.0, bad)):
+            with pytest.raises(ValueError, match="must be finite and >= 0"):
+                call()
