@@ -208,11 +208,7 @@ def cmd_esd(args) -> int:
     return EXIT_OK
 
 
-_PANELS = {
-    "i": ("amplitude",),
-    "ii": ("phase",),
-    "iii": ("amplitude", "phase"),
-}
+_PANELS = {"i": ("amplitude",), "ii": ("phase",), "iii": ("amplitude", "phase")}
 
 
 def cmd_diagram(args) -> int:
@@ -222,22 +218,12 @@ def cmd_diagram(args) -> int:
         raise ConfigError(f"rate must be > 0, got {args.rate}")
     if args.t_max is not None and args.t_max <= 0:
         raise ConfigError(f"--t-max must be > 0, got {args.t_max}")
-    specs = tuple(
-        NoiseSpec(target, kind, args.rate)
-        for kind in _PANELS[args.panel]
-        for target in ("A", "B")
-    )
+    specs = [NoiseSpec(q, kind, args.rate) for kind in _PANELS[args.panel] for q in "AB"]
     a_values = np.linspace(0.0, 1.0, args.resolution)
     z_values = np.linspace(0.0, 0.5, args.resolution)
-    cells = diagram_grid(a_values, z_values, specs, args.t_max)
     rows = [
-        [
-            _fmt(cell.a),
-            _fmt(cell.z),
-            cell.kind.value,
-            _fmt(cell.t_star) if cell.t_star is not None else "",
-        ]
-        for cell in cells
+        [_fmt(c.a), _fmt(c.z), c.kind.value, "" if c.t_star is None else _fmt(c.t_star)]
+        for c in diagram_grid(a_values, z_values, specs, args.t_max)
     ]
     _table(args, ["a", "z", "class", "t_star"], rows)
     return EXIT_OK

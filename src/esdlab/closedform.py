@@ -20,7 +20,6 @@ single-noise forms only decay exponentially.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Optional
 
@@ -117,7 +116,9 @@ def combined_death_time(
     _check_lambda(lam)
     check_rates(rate_amp=rate_amp, rate_phase=rate_phase)
     t_max = default_t_max((rate_amp, rate_phase))
-    bracket = functools.partial(_bracket, lam, rate_amp, rate_phase)
+
+    def brackets(_, times):
+        return np.array([_bracket(lam, rate_amp, rate_phase, float(t)) for t in times])
+
     grid = np.linspace(0.0, t_max, SCAN_POINTS + 1)
-    values = np.array([bracket(float(t)) for t in grid])
-    return first_root(bracket, grid, values, 1e-12)
+    return first_root(brackets, grid, [brackets(None, grid)], 1e-12)[0]

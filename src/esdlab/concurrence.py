@@ -23,6 +23,7 @@ from .linalg import DensityMatrix, kron, product_spectrum, validate_density
 
 # root scan: grid points on (0, t_max], and the bisection width of esd_time
 SCAN_POINTS = 512
+SCAN_BLOCK = 32  # X states scanned at a time: bounds the (block, grid) temporaries
 ESD_RESOLUTION = 1e-10
 _SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 _SPIN_FLIP = kron(_SIGMA_Y, _SIGMA_Y)
@@ -137,20 +138,26 @@ def evolve_x(x: XState, specs: Iterable[NoiseSpec], t: float) -> XState:
     return XState(a, b, c, d, zf * x.z)
 
 
-def _x_margins(x: XState, rates: list[float], times: np.ndarray) -> np.ndarray:
+def _x_entries(x: XState) -> tuple:
+    return (x.a, x.b, x.c, x.d, abs(x.z))
+
+
+def _x_margins(entries, rates: list[float], times: np.ndarray) -> np.ndarray:
     """Vectorized X-state margin |z(t)| - sqrt(a(t) d(t)), up to a positive factor.
 
-    Only the sign is used.  Both terms share the amplitude decay
+    ``entries`` holds the arrays a, b, c, d, |z|, which broadcast against
+    ``times``.  Only the sign is used.  Both terms share the amplitude decay
     exp(-(amp_A + amp_B) t / 2), which is divided out, leaving
     |z| exp(-(ph_A + ph_B) t / 2) - sqrt(a0 d(t)); where a0 d(t) is exactly 0
     the value is |z|.  Either way no sign is lost when a term underflows.
     """
+    a, b, c, d, abs_z = entries
     amp_a, amp_b, ph_a, ph_b = rates
     ua = 1 - np.exp(-amp_a * times)
     ub = 1 - np.exp(-amp_b * times)
-    ad = x.a * (ua * ub * x.a + ua * x.b + ub * x.c + x.d)
+    ad = a * (ua * ub * a + ua * b + ub * c + d)
     zf = np.exp(-0.5 * (ph_a + ph_b) * times)
-    return np.where(ad == 0.0, abs(x.z), abs(x.z) * zf - np.sqrt(ad))
+    return np.where(ad == 0.0, abs_z, abs_z * zf - np.sqrt(ad))
 
 
 @dataclass(frozen=True)
@@ -179,6 +186,8 @@ class ConcurrenceTrace:
 def _check_times(times: np.ndarray):
     if times.ndim != 1 or len(times) == 0:
         raise ValueError("need a nonempty 1d time grid")
+    if not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite")
     if times[0] < 0 or np.any(np.diff(times) <= 0):
         raise ValueError("times must be ascending and start at t >= 0")
 
@@ -222,28 +231,40 @@ def trace_concurrence(
     return ConcurrenceTrace(times=times, values=values, specs=specs, initial=initial)
 
 
-def first_root(margin, grid, values, resolution: float) -> Optional[float]:
-    """First sign change of ``values``, a margin on ``grid`` with values[0] > 0.
+def first_root(margin, grid, values, resolution: float) -> list[Optional[float]]:
+    """First sign change of each row of ``values``, margins on ``grid`` that start > 0.
 
-    The bracket [grid[idx - 1], grid[idx]] around the first nonpositive
-    value is bisected on ``margin`` down to ``resolution``, or to adjacent
-    floats.  Returns the nonpositive end of the bracket, or None when no
-    value is nonpositive.
+    ``values`` is an (n, m) array or an iterable of (k, m) row blocks.  Each
+    row's bracket [grid[idx - 1], grid[idx]] around its first nonpositive
+    value is bisected on ``margin(rows, t)``, the margins of those rows at
+    their own times, all rows in lockstep, each down to ``resolution`` or to
+    adjacent floats.  Returns per row the nonpositive end of the bracket, or
+    None when the row has no nonpositive value.
     """
-    hits = np.nonzero(values[1:] <= 0.0)[0]
-    if len(hits) == 0:
-        return None
-    idx = 1 + int(hits[0])
-    lo, hi = float(grid[idx - 1]), float(grid[idx])
-    while hi - lo > resolution:
+    found = [np.zeros(0, dtype=np.intp)]
+    for block in values:
+        hits = np.atleast_2d(block)[:, 1:] <= 0.0
+        found.append(np.where(hits.any(axis=1), 1 + hits.argmax(axis=1), 0))
+    idx = np.concatenate(found)
+    rows = np.flatnonzero(idx)  # the rows still bisecting, with their brackets
+    lo, hi = grid[idx[rows] - 1], grid[idx[rows]]
+    roots = np.zeros(len(idx))
+    while True:
         mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:  # adjacent floats: the spacing exceeds resolution
+        go = (hi - lo > resolution) & (lo < mid) & (mid < hi)
+        if not go.all():
+            roots[rows[~go]] = hi[~go]
+            rows, lo, hi, mid = rows[go], lo[go], hi[go], mid[go]
+        if not len(rows):
             break
-        if margin(mid) <= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+        dead = margin(rows, mid) <= 0.0
+        lo, hi = np.where(dead, lo, mid), np.where(dead, mid, hi)
+    return [t if i else None for i, t in zip(idx.tolist(), roots.tolist())]
+
+
+def _check_horizon(t_max: float):
+    if not (math.isfinite(t_max) and t_max > 0):
+        raise ValueError(f"t_max must be finite and > 0, got {t_max}")
 
 
 def esd_time(
@@ -254,27 +275,23 @@ def esd_time(
     """Smallest time at which the concurrence hits zero.
 
     The signed margin is scanned on SCAN_POINTS points in (0, t_max] and its
-    first sign change is bisected to ESD_RESOLUTION.  Concurrence never
-    increases under these local semigroup channels (Wootters, PRL 80, 2245
-    (1998)), so that zero stays zero and needs no check past it.  Returns
-    None when the margin stays positive on the whole grid, and raises
-    SeparableStateError when there is nothing to lose at t = 0.
+    first sign change is bisected to ESD_RESOLUTION by ``first_root``, with
+    the one row of this state.  Concurrence never increases under these
+    local semigroup channels (Wootters, PRL 80, 2245 (1998)), so that zero
+    stays zero and needs no check past it.  Returns None when the margin
+    stays positive on the whole grid, and raises SeparableStateError when
+    there is nothing to lose at t = 0.
     """
     specs = tuple(specs)
-    if not (math.isfinite(t_max) and t_max > 0):
-        raise ValueError(f"t_max must be finite and > 0, got {t_max}")
+    _check_horizon(t_max)
     if isinstance(initial, XState):
-        margins_at = functools.partial(_x_margins, initial, _x_rates(specs))
+        margins_at = functools.partial(_x_margins, _x_entries(initial), _x_rates(specs))
     else:
         margins_at = functools.partial(_evolved_margins, initial, specs)
-
-    def margin(t: float) -> float:
-        return float(margins_at(np.asarray([t]))[0])
-
-    if margin(0.0) <= 0.0:
+    if margins_at(np.zeros(1))[0] <= 0.0:
         raise SeparableStateError("initial state is separable (zero concurrence)")
     grid = np.linspace(0.0, t_max, SCAN_POINTS + 1)
-    return first_root(margin, grid, margins_at(grid), ESD_RESOLUTION)
+    return first_root(lambda _, t: margins_at(t), grid, [margins_at(grid)], ESD_RESOLUTION)[0]
 
 
 class DecayKind(Enum):
@@ -336,18 +353,37 @@ def diagram_grid(
 ) -> list[DiagramCell]:
     """Classify the (a, |z|) lattice of d = 0 states with b = c = (1 - a)/2.
 
-    Cells outside the validity region |z| <= (1 - a)/2 are marked INVALID.
+    Cells outside |z| <= (1 - a)/2, or with a non-finite a or z, are INVALID.
+    The entangled cells go through one scan, SCAN_BLOCK cells at a time, and
+    one lockstep bisection, and get the bits ``classify`` gives each of them.
     Rows are emitted a-major, z-minor, in grid order.
     """
     specs = tuple(specs)
     cells: list[DiagramCell] = []
+    live: list[tuple[int, tuple]] = []  # (cell index, X-state entries)
     for a in a_values:
         half = 0.5 * (1.0 - a)
         for z in z_values:
-            if not (0 <= a <= 1) or z < 0 or z > half + 1e-12:
-                cells.append(DiagramCell(float(a), float(z), DecayKind.INVALID))
-                continue
-            state = XState(float(a), half, half, 0.0, min(float(z), half))
-            result = classify(state, specs, t_max)
-            cells.append(DiagramCell(float(a), float(z), result.kind, result.t_star))
+            kind = DecayKind.INVALID
+            if 0 <= a <= 1 and 0 <= z <= half + 1e-12:
+                state = XState(float(a), half, half, 0.0, min(float(z), half))
+                kind = DecayKind.SEPARABLE_AT_START
+                if concurrence_x(state) != 0.0:  # classified below
+                    live.append((len(cells), _x_entries(state)))
+            cells.append(DiagramCell(float(a), float(z), kind))
+    if not live:
+        return cells
+    horizon = default_t_max(s.rate for s in specs) if t_max is None else t_max
+    _check_horizon(horizon)
+    entries, rates = np.array([x for _, x in live]).T, _x_rates(specs)
+    grid = np.linspace(0.0, horizon, SCAN_POINTS + 1)
+    blocks = (
+        _x_margins(entries[:, lo:lo + SCAN_BLOCK, None], rates, grid)
+        for lo in range(0, len(live), SCAN_BLOCK)
+    )
+    roots = first_root(lambda rows, t: _x_margins(entries[:, rows], rates, t),
+                       grid, blocks, ESD_RESOLUTION)
+    for (i, _), t_star in zip(live, roots):
+        kind = DecayKind.EXPONENTIAL if t_star is None else DecayKind.SUDDEN_DEATH
+        cells[i] = DiagramCell(cells[i].a, cells[i].z, kind, t_star)
     return cells

@@ -164,6 +164,16 @@ def test_trace_input_validation():
         ConcurrenceTrace(np.array([0.0]), np.array([1.5]), (), BELL)
 
 
+def test_trace_concurrence_rejects_non_finite_times():
+    amp = symmetric("amplitude", 1.0)
+    for bad in (math.nan, math.inf):
+        for specs in ((), amp):
+            with pytest.raises(ValueError, match="times must be finite"):
+                trace_concurrence(lambda_state(4.0), specs, [0.0, bad])
+            with pytest.raises(ValueError, match="times must be finite"):
+                trace_concurrence(lambda_state(4.0).to_density(), specs, [bad, 1.0])
+
+
 def test_amplitude_only_matches_closed_form_and_survives():
     for lam in (3.0, 3.5, 4.0):
         x = lambda_state(lam)

@@ -1,0 +1,183 @@
+"""Batched lattice classification and multi-row root finding, bit for bit.
+
+``diagram_grid`` scans every entangled cell on one shared grid, a block of
+cells at a time, and bisects all brackets in lockstep through
+``first_root``.  The arithmetic per cell is the per-cell scan-and-bisect
+kept here as the reference, so cells must be equal, never merely close.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from esdlab import DecayKind, NoiseSpec, XState, concurrence_x, diagram_grid
+from esdlab.concurrence import ESD_RESOLUTION, SCAN_BLOCK, SCAN_POINTS, first_root
+
+KINDS = ("amplitude", "phase")
+PANELS = {"i": ("amplitude",), "ii": ("phase",), "iii": ("amplitude", "phase")}
+
+
+def _first_root_1d(margin, grid, values, resolution):
+    """Scalar scan-and-bisect of one margin row: the reference root finder."""
+    hits = np.nonzero(values[1:] <= 0.0)[0]
+    if len(hits) == 0:
+        return None
+    idx = 1 + int(hits[0])
+    lo, hi = float(grid[idx - 1]), float(grid[idx])
+    while hi - lo > resolution:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if margin(mid) <= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _cell_margins(x, rates, times):
+    """One X state's margin |z| exp(-(ph_A + ph_B) t / 2) - sqrt(a d(t))."""
+    amp_a, amp_b, ph_a, ph_b = rates
+    ua = 1 - np.exp(-amp_a * times)
+    ub = 1 - np.exp(-amp_b * times)
+    ad = x.a * (ua * ub * x.a + ua * x.b + ub * x.c + x.d)
+    zf = np.exp(-0.5 * (ph_a + ph_b) * times)
+    return np.where(ad == 0.0, abs(x.z), abs(x.z) * zf - np.sqrt(ad))
+
+
+def _reference_cells(a_values, z_values, specs, t_max):
+    """(a, z, kind, t_star) of each cell, classified one cell at a time."""
+    rates = [sum(s.rate for s in specs if (s.target, s.kind) == (q, kind))
+             for kind in KINDS for q in "AB"]
+    horizon = 20.0 / min(s.rate for s in specs) if t_max is None else t_max
+    grid = np.linspace(0.0, horizon, SCAN_POINTS + 1)
+    out = []
+    for a in a_values:
+        half = 0.5 * (1.0 - a)
+        for z in z_values:
+            kind, t_star = DecayKind.INVALID, None
+            if 0 <= a <= 1 and 0 <= z <= half + 1e-12:
+                x = XState(float(a), half, half, 0.0, min(float(z), half))
+                kind = DecayKind.SEPARABLE_AT_START
+                if concurrence_x(x) != 0.0:
+                    t_star = _first_root_1d(
+                        lambda t: _cell_margins(x, rates, np.asarray([t]))[0],
+                        grid, _cell_margins(x, rates, grid), ESD_RESOLUTION)
+                    kind = (DecayKind.EXPONENTIAL if t_star is None
+                            else DecayKind.SUDDEN_DEATH)
+            out.append((float(a), float(z), kind, t_star))
+    return out
+
+
+def _cells(a_values, z_values, specs, t_max=None):
+    return [(c.a, c.z, c.kind, c.t_star)
+            for c in diagram_grid(a_values, z_values, specs, t_max)]
+
+
+def _random_panel(rng, panel):
+    """Asymmetric rates: one spec per qubit and kind of the panel."""
+    return tuple(NoiseSpec(q, kind, rng.uniform(0.5, 2.0))
+                 for kind in PANELS[panel] for q in "AB")
+
+
+@pytest.mark.parametrize("panel", sorted(PANELS))
+@pytest.mark.parametrize("t_max", [None, 0.3, 7.0, 1e5])
+def test_diagram_grid_matches_per_cell_reference(rng, panel, t_max):
+    # the lattice holds the z = 0 column (separable) and INVALID cells
+    # above |z| = (1 - a)/2; t_max = 1e5 puts roots late and underflows a(t)
+    a_values, z_values = np.linspace(0.0, 1.0, 15), np.linspace(0.0, 0.5, 14)
+    specs = _random_panel(rng, panel)
+    got = _cells(a_values, z_values, specs, t_max)
+    assert repr(got) == repr(_reference_cells(a_values, z_values, specs, t_max))
+    kinds = {cell[2] for cell in got}
+    assert {DecayKind.INVALID, DecayKind.SEPARABLE_AT_START} <= kinds
+
+
+def test_diagram_grid_matches_reference_off_lattice(rng):
+    # unsorted values, out-of-range a and z, and more cells than one scan block
+    a_values = rng.uniform(-0.1, 1.1, 11)
+    z_values = np.concatenate([[0.0], rng.uniform(-0.05, 0.55, 9)])
+    specs = _random_panel(rng, "iii")
+    assert len(a_values) * len(z_values) > SCAN_BLOCK
+    got = _cells(a_values, z_values, specs)
+    assert repr(got) == repr(_reference_cells(a_values, z_values, specs, None))
+
+
+def test_diagram_grid_single_and_empty_lattices(rng):
+    specs = _random_panel(rng, "iii")
+    for a, z in ((0.2, 0.3), (0.2, 0.0), (0.9, 0.3)):
+        assert repr(_cells([a], [z], specs)) == repr(_reference_cells([a], [z], specs, None))
+    assert diagram_grid([], [0.1], specs) == []
+    assert diagram_grid([0.2], [], specs) == []
+
+
+def test_diagram_grid_marks_non_finite_entries_invalid():
+    specs = (NoiseSpec("A", "phase", 1.0), NoiseSpec("B", "phase", 1.0))
+    for a, z in ((0.2, math.nan), (math.nan, 0.1), (0.2, math.inf), (math.inf, 0.1)):
+        [cell] = diagram_grid([a], [z], specs)
+        assert cell.kind is DecayKind.INVALID and cell.t_star is None, (a, z)
+
+
+def test_diagram_grid_tracemalloc_peak_stays_small():
+    # unblocked, the (cells x grid) scan temporaries of this lattice peak
+    # near 27 MB; a block of SCAN_BLOCK cells keeps the peak near 2 MB
+    specs = tuple(NoiseSpec(q, kind, 1.0) for kind in KINDS for q in "AB")
+    a_values, z_values = np.linspace(0.0, 1.0, 64), np.linspace(0.0, 0.5, 64)
+    tracemalloc.start()
+    try:
+        cells = diagram_grid(a_values, z_values, specs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cells) == 64 * 64
+    assert peak < 5e6
+
+
+def _linear_rows(thresholds, grid):
+    """Margins c - t of rows with roots c, and their (rows, t) evaluator."""
+    values = thresholds[:, None] - grid[None, :]
+    return (lambda rows, t: thresholds[rows] - t), values
+
+
+def test_first_root_rows_match_one_row_calls_and_the_reference(rng):
+    grid = np.linspace(0.0, 10.0, 65)
+    # roots inside the grid, past it (no hit), on a grid point and in its
+    # first interval (hit at grid[1])
+    thresholds = np.concatenate([rng.uniform(0.01, 10.0, 20), [12.0, 30.0],
+                                 grid[[1, 7]], [0.05]])
+    margin, values = _linear_rows(thresholds, grid)
+    got = first_root(margin, grid, values, 1e-9)
+    assert got[20] is None and got[21] is None
+    for row, c in enumerate(thresholds):
+        one = first_root(lambda _, t: c - t, grid, values[row:row + 1], 1e-9)
+        ref = _first_root_1d(lambda t: c - t, grid, values[row], 1e-9)
+        assert repr(got[row]) == repr(one[0]) == repr(ref), row
+    blocks = (values[lo:lo + 4] for lo in range(0, len(values), 4))
+    assert repr(first_root(margin, grid, blocks, 1e-9)) == repr(got)
+
+
+def test_first_root_hit_at_first_grid_point():
+    grid = np.linspace(0.0, 1.0, 9)
+    margin, values = _linear_rows(np.array([0.01, 0.125]), grid)
+    got = first_root(margin, grid, values, 1e-12)
+    assert 0.0 < got[0] <= grid[1] and got[1] == grid[1]
+    assert got[0] - 0.01 <= 1e-12 and margin(np.array([0]), np.array([got[0]]))[0] <= 0.0
+
+
+def test_first_root_stops_at_adjacent_floats():
+    # roots near 1e300 sit where adjacent floats are ~1e284 apart, far wider
+    # than the resolution: each row must stop on an adjacent pair, at its own step
+    grid = np.linspace(0.0, 4e300, 9)
+    thresholds = np.array([1.1e300, 2.7e300, 3.3e300])
+    margin, values = _linear_rows(thresholds, grid)
+    got = first_root(margin, grid, values, 1e-10)
+    for c, t in zip(thresholds, got):
+        assert t >= c and np.nextafter(t, 0.0) < c
+        assert repr(t) == repr(_first_root_1d(lambda s: c - s, grid, c - grid, 1e-10))
+
+
+def test_first_root_without_rows():
+    assert first_root(None, np.linspace(0.0, 1.0, 5), np.zeros((0, 5)), 1e-10) == []
+    assert first_root(None, np.linspace(0.0, 1.0, 5), [], 1e-10) == []
