@@ -315,18 +315,61 @@ def _superoperator(specs, dim: int) -> np.ndarray:
 
 
 def _rk4_step_matrix(sup: np.ndarray, h: float) -> np.ndarray:
-    """One fixed-size classical Runge-Kutta step for a constant linear generator.
+    """One fixed-size classical Runge-Kutta step for a constant linear generator
+    (or a (..., n, n) stack of them).
 
     For rho' = L rho the textbook k1..k4 update collapses to the degree-4
     Taylor polynomial of exp(h L); iterating this matrix is the RK4 solution.
     """
-    n = sup.shape[0]
+    n = sup.shape[-1]
     step = np.eye(n, dtype=np.complex128)
     term = np.eye(n, dtype=np.complex128)
     for k in (1, 2, 3, 4):
         term = (h / k) * (sup @ term)
         step = step + term
     return step
+
+
+def _rk4_runs(
+    rho0: DensityMatrix, spec_sets: Sequence[tuple], times: Sequence[float], dt: float
+) -> np.ndarray:
+    """``integrate_path`` of each noise set in ``spec_sets`` as (n_runs, n_t, d, d)
+    states: the runs step in lockstep, one stacked matmul per step, and each
+    run's states are bit for bit those of stepping it alone."""
+    times = [float(t) for t in times]
+    if any(b <= a for a, b in zip(times, times[1:])) or (times and times[0] < 0):
+        raise ValueError("times must be ascending and nonnegative")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and > 0, got {dt}")
+    dim, runs = rho0.dim, len(spec_sets)
+    sups = np.array([_superoperator(specs, dim) for specs in spec_sets])
+    vecs = rho0.mat.reshape(1, dim * dim, 1)  # one column, broadcast over the runs
+    spans = [t - s for s, t in zip([0.0] + times, times)]
+    # capped before ceil, which cannot take the inf of a huge span / dt
+    counts = [math.ceil(min(span / dt - 1e-12, MAX_RK4_STEPS + 1)) for span in spans]
+    if sum(counts) > MAX_RK4_STEPS:
+        raise ValueError(f"dt {dt} needs more than {MAX_RK4_STEPS} RK4 steps")
+    h_max = max((span / n for span, n in zip(spans, counts) if n), default=0.0)
+    radius = float(np.abs(np.linalg.eigvals(sups)).max()) if h_max else 0.0
+    if h_max * radius > RK4_STABILITY_LIMIT:
+        raise ValueError(
+            f"RK4 step {h_max:.3g} times generator rate {radius:.3g} exceeds "
+            f"the stability limit {RK4_STABILITY_LIMIT}"
+        )
+    out = np.empty((runs, len(times), dim, dim), dtype=np.complex128)
+    for i, (t, span, n_steps) in enumerate(zip(times, spans, counts)):
+        if n_steps:
+            step = _rk4_step_matrix(sups, span / n_steps)
+            for _ in range(n_steps):
+                vecs = step @ vecs
+        out[:, i] = vecs.reshape(-1, dim, dim)
+        try:
+            check_densities(out[:, i], tol=INTEGRATOR_TOL)
+        except ValidationError as exc:
+            raise NumericalFailureError(
+                f"integration left the state space at t={t}: {exc}"
+            ) from exc
+    return out
 
 
 def integrate_path(
@@ -342,42 +385,8 @@ def integrate_path(
     than MAX_RK4_STEPS steps, or with h times the generator's spectral
     radius above RK4_STABILITY_LIMIT, raises ValueError.  States are
     revalidated to INTEGRATOR_TOL, and a failure becomes NumericalFailureError.
+    The one-run case of the RK4 core that steps runs on one grid in lockstep.
     """
-    specs = tuple(specs)
-    times = [float(t) for t in times]
-    if any(b <= a for a, b in zip(times, times[1:])) or (times and times[0] < 0):
-        raise ValueError("times must be ascending and nonnegative")
-    if not 0 < dt < math.inf:
-        raise ValueError(f"dt must be finite and > 0, got {dt}")
-    dim = rho0.dim
-    sup = _superoperator(specs, dim)
-    spans = [t - s for s, t in zip([0.0] + times, times)]
-    # capped before ceil, which cannot take the inf of a huge span / dt
-    counts = [math.ceil(min(span / dt - 1e-12, MAX_RK4_STEPS + 1)) for span in spans]
-    if sum(counts) > MAX_RK4_STEPS:
-        raise ValueError(f"dt {dt} needs more than {MAX_RK4_STEPS} RK4 steps")
-    h_max = max((span / n for span, n in zip(spans, counts) if n), default=0.0)
-    radius = float(np.abs(np.linalg.eigvals(sup)).max()) if h_max else 0.0
-    if h_max * radius > RK4_STABILITY_LIMIT:
-        raise ValueError(
-            f"RK4 step {h_max:.3g} times generator rate {radius:.3g} exceeds "
-            f"the stability limit {RK4_STABILITY_LIMIT}"
-        )
-    step_cache: dict[float, np.ndarray] = {}
-    out: list[DensityMatrix] = []
-    vec = rho0.mat.reshape(dim * dim)
-    for t, span, n_steps in zip(times, spans, counts):
-        if n_steps:
-            h = span / n_steps
-            if h not in step_cache:
-                step_cache[h] = _rk4_step_matrix(sup, h)
-            step = step_cache[h]
-            for _ in range(n_steps):
-                vec = step @ vec
-        try:
-            out.append(validate_density(vec.reshape(dim, dim), tol=INTEGRATOR_TOL))
-        except ValidationError as exc:
-            raise NumericalFailureError(
-                f"integration left the state space at t={t}: {exc}"
-            ) from exc
-    return out
+    states = _rk4_runs(rho0, [tuple(specs)], times, dt)[0]
+    states.setflags(write=False)
+    return [DensityMatrix(rho0.n_qubits, m) for m in states]

@@ -14,12 +14,11 @@ import numpy as np
 from .channels import (
     DEFAULT_DT,
     NoiseSpec,
-    amplitude_channel,
-    apply_channel,
-    compose,
-    dephasing_channel,
+    _compose_stack,
+    _kind_stack,
+    _kraus_sum,
+    _rk4_runs,
     evolve_states,
-    integrate_path,
 )
 from .closedform import (
     amplitude_concurrence,
@@ -30,7 +29,7 @@ from .closedform import (
     phase_concurrence,
 )
 from .concurrence import esd_time, lambda_state, trace_concurrence
-from .linalg import validate_density
+from .linalg import check_densities, validate_density
 
 LAMBDAS = (1.0, 2.0, 3.0, 3.5, 4.0)
 RATES = (0.5, 1.0, 2.0)
@@ -60,6 +59,30 @@ def _result(name, worst, tol) -> CheckResult:
     return CheckResult(name, bool(worst <= tol), float(worst), float(tol))
 
 
+def _additivity_runs(pairs, times, dt=DEFAULT_DT) -> list[dict]:
+    """``additivity_series`` of each (gamma1, gamma2) pair, the RK4 runs in lockstep."""
+    plus_x = validate_density(np.full((2, 2), 0.5, dtype=np.complex128))
+    times = [float(t) for t in times]
+    kraus = []
+    for gamma1, gamma2 in pairs:
+        phase = _kind_stack("phase", gamma2, times)
+        ops = _compose_stack(_compose_stack(_kind_stack("amplitude", gamma1, times), phase), phase)
+        kraus.append(check_densities(_kraus_sum(ops, plus_x.mat))[:, 0, 1].real.tolist())
+    spec_sets = [(NoiseSpec("A", "amplitude", g1), NoiseSpec("A", "phase", 2 * g2))
+                 for g1, g2 in pairs]
+    paths = _rk4_runs(plus_x, spec_sets, times, dt)[:, :, 0, 1].real.tolist()
+    out = []
+    for (gamma1, gamma2), k_route, lindblad in zip(pairs, kraus, paths):
+        analytic = [0.5 * coherence_factor(gamma1, gamma2, t) for t in times]
+        dev_kraus = max(abs(k - a) for k, a in zip(k_route, analytic))
+        dev_lind = max(abs(l - a) for l, a in zip(lindblad, analytic))
+        passed = dev_kraus <= ADDITIVITY_KRAUS_TOL and dev_lind <= ADDITIVITY_LINDBLAD_TOL
+        out.append({"times": times, "kraus": k_route, "lindblad": lindblad,
+                    "analytic": analytic, "max_dev_kraus": dev_kraus,
+                    "max_dev_lindblad": dev_lind, "pass": bool(passed)})
+    return out
+
+
 def additivity_series(gamma1: float, gamma2: float, times, dt=DEFAULT_DT) -> dict:
     """Single-qubit coherence along a grid: Kraus, integrator and analytic routes.
 
@@ -70,42 +93,16 @@ def additivity_series(gamma1: float, gamma2: float, times, dt=DEFAULT_DT) -> dic
     routes must land on 0.5 * exp(-(gamma1/2 + gamma2) t); the result also
     holds each numeric route's worst deviation from the analytic one and
     the pass verdict against ADDITIVITY_KRAUS_TOL and ADDITIVITY_LINDBLAD_TOL.
+    The validate suite steps the RK4 runs of its pairs, on one grid, in lockstep.
     """
-    plus_x = validate_density(np.full((2, 2), 0.5, dtype=np.complex128))
-    times = [float(t) for t in times]
-    kraus = []
-    for t in times:
-        ch = compose(
-            compose(amplitude_channel(gamma1, t), dephasing_channel(gamma2, t)),
-            dephasing_channel(gamma2, t),
-        )
-        kraus.append(apply_channel(ch, plus_x).mat[0, 1].real)
-    specs = (NoiseSpec("A", "amplitude", gamma1), NoiseSpec("A", "phase", 2 * gamma2))
-    lindblad = [s.mat[0, 1].real for s in integrate_path(plus_x, specs, times, dt)]
-    analytic = [0.5 * coherence_factor(gamma1, gamma2, t) for t in times]
-    dev_kraus = max(abs(k - a) for k, a in zip(kraus, analytic))
-    dev_lind = max(abs(l - a) for l, a in zip(lindblad, analytic))
-    return {
-        "times": times,
-        "kraus": kraus,
-        "lindblad": lindblad,
-        "analytic": analytic,
-        "max_dev_kraus": dev_kraus,
-        "max_dev_lindblad": dev_lind,
-        "pass": bool(
-            dev_kraus <= ADDITIVITY_KRAUS_TOL and dev_lind <= ADDITIVITY_LINDBLAD_TOL
-        ),
-    }
+    return _additivity_runs([(gamma1, gamma2)], times, dt)[0]
 
 
 def _check_additivity_suite() -> list[CheckResult]:
-    times = np.linspace(0.0, 5.0, 20)
-    worst_k = worst_l = 0.0
-    for g1 in (0.1, 1.0, 3.0):
-        for g2 in (0.1, 1.0, 3.0):
-            series = additivity_series(g1, g2, times)
-            worst_k = max(worst_k, series["max_dev_kraus"])
-            worst_l = max(worst_l, series["max_dev_lindblad"])
+    pairs = [(g1, g2) for g1 in (0.1, 1.0, 3.0) for g2 in (0.1, 1.0, 3.0)]
+    suite = _additivity_runs(pairs, np.linspace(0.0, 5.0, 20))
+    worst_k = max(series["max_dev_kraus"] for series in suite)
+    worst_l = max(series["max_dev_lindblad"] for series in suite)
     return [
         _result("additivity_kraus_vs_analytic", worst_k, ADDITIVITY_KRAUS_TOL),
         _result("additivity_lindblad_vs_analytic", worst_l, ADDITIVITY_LINDBLAD_TOL),
@@ -246,17 +243,23 @@ def equivalence_state():
     return validate_density(rho)
 
 
+def _kraus_lindblad_devs(spec_sets, times) -> list[float]:
+    """``check_kraus_lindblad`` of each noise set, the RK4 runs in lockstep."""
+    rho0 = equivalence_state()
+    paths = _rk4_runs(rho0, spec_sets, times, DEFAULT_DT)
+    return [
+        float(np.abs(evolve_states(rho0, specs, times) - path).max())
+        for specs, path in zip(spec_sets, paths)
+    ]
+
+
 def check_kraus_lindblad(specs, times) -> float:
     """Worst element-wise deviation between channel and integrator evolution."""
-    rho0 = equivalence_state()
-    via_ode = np.array([s.mat for s in integrate_path(rho0, specs, times)])
-    return float(np.abs(evolve_states(rho0, specs, times) - via_ode).max())
+    return _kraus_lindblad_devs([tuple(specs)], times)[0]
 
 
 def _check_equivalence() -> CheckResult:
-    worst = 0.0
-    for specs in EQUIVALENCE_PLACEMENTS:
-        worst = max(worst, check_kraus_lindblad(specs, (0.5, 1.5)))
+    worst = max(_kraus_lindblad_devs(EQUIVALENCE_PLACEMENTS, (0.5, 1.5)))
     return _result("kraus_vs_lindblad", worst, 1e-6)
 
 

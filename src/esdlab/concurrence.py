@@ -318,7 +318,10 @@ class DecayClass:
 def default_t_max(rates: Iterable[float]) -> float:
     """Horizon 20 / min(active rate): exp(-20) is below every tolerance in use."""
     active = [r for r in rates if r > 0]
-    return 20.0 / min(active) if active else 1.0
+    horizon = 20.0 / min(active) if active else 1.0
+    if not math.isfinite(horizon):
+        raise ValueError(f"rate {min(active)!r} is too small for the default horizon 20 / rate")
+    return horizon
 
 
 def classify(

@@ -150,12 +150,3 @@ def validate_density(m, tol: Optional[float] = None) -> DensityMatrix:
     a.setflags(write=False)
     return DensityMatrix(n_qubits=1 if a.shape[0] == 2 else 2, mat=a)
 
-
-def partial_trace(m, keep: str) -> np.ndarray:
-    """Reduced single-qubit operator of a two-qubit one; ``keep`` is 'A' or 'B'."""
-    a = as_matrix(m, dims=(4,)).reshape(2, 2, 2, 2)
-    if keep == "A":
-        return np.einsum("ikjk->ij", a)
-    if keep == "B":
-        return np.einsum("kikj->ij", a)
-    raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")

@@ -1,4 +1,4 @@
-"""Shared random-state generators for the test suite."""
+"""Shared random-state generators and a partial trace for the test suite."""
 
 import numpy as np
 
@@ -25,3 +25,13 @@ def random_x_state(rng):
     radius = rng.uniform(0.0, np.sqrt(b * c))
     phase = rng.uniform(0.0, 2 * np.pi)
     return XState(a, b, c, d, radius * np.exp(1j * phase))
+
+
+def partial_trace(m, keep):
+    """Reduced single-qubit operator of a two-qubit one; ``keep`` is 'A' or 'B'."""
+    a = np.asarray(m, dtype=np.complex128).reshape(2, 2, 2, 2)
+    if keep == "A":
+        return np.einsum("ikjk->ij", a)
+    if keep == "B":
+        return np.einsum("kikj->ij", a)
+    raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")

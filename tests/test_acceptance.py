@@ -35,9 +35,8 @@ from esdlab.checks import (
     additivity_series,
     check_kraus_lindblad,
 )
-from esdlab.linalg import partial_trace
 
-from helpers import random_density, random_x_state
+from helpers import partial_trace, random_density, random_x_state
 
 T_STAR_COMBINED_4 = 0.673460816143141   # root of 15 x^2 + 10 x - 9, x = e^-t
 T_STAR_A_ONLY_4 = math.log(5.0)         # both noises on A alone, lam = 4

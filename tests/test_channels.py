@@ -24,9 +24,8 @@ from esdlab import (
     validate_density,
 )
 from esdlab.channels import DEFAULT_DT, MAX_RK4_STEPS, RK4_STABILITY_LIMIT
-from esdlab.linalg import partial_trace
 
-from helpers import random_density, random_x_state
+from helpers import partial_trace, random_density, random_x_state
 
 PLUS_X = validate_density(np.full((2, 2), 0.5, dtype=complex))
 

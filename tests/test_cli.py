@@ -229,6 +229,17 @@ def test_bad_numbers_exit_2_with_one_line(argv, capsys):
         assert "--gamma2" in err
 
 
+def test_diagram_rate_whose_horizon_overflows_exits_2(capsys):
+    # 20 / 5e-324 is inf: this exited 1 with a ValueError traceback
+    argv = ["diagram", "--panel", "iii", "--resolution", "8", "--rate", "5e-324"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: --rate 5e-324")
+    code, out, _ = run_cli(argv + ["--t-max", "1"], capsys)
+    assert code == 0 and len(out.splitlines()) == 65
+
+
 def test_non_finite_config_values_exit_2(tmp_path, capsys):
     path = tmp_path / "run.json"
     for key, value in (("t_max", math.inf), ("dt", math.nan), ("lambda", math.nan),

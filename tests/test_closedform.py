@@ -127,3 +127,9 @@ def test_every_closed_form_checks_its_rates():
                      lambda: combined_death_time(4.0, 1.0, bad)):
             with pytest.raises(ValueError, match="must be finite and >= 0"):
                 call()
+
+
+def test_combined_death_time_rejects_rates_whose_horizon_overflows():
+    # the default horizon 20 / min(rate) is inf here: this returned t* = inf
+    with pytest.raises(ValueError, match="rate 5e-324 is too small"):
+        combined_death_time(4.0, 5e-324, 5e-324)

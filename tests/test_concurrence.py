@@ -25,9 +25,8 @@ from esdlab import (
     trace_concurrence,
     validate_density,
 )
-from esdlab.linalg import partial_trace
 
-from helpers import random_density, random_unitary, random_x_state
+from helpers import partial_trace, random_density, random_unitary, random_x_state
 
 # independently derived reference roots (quadratic formula + bisection)
 T_STAR_COMBINED_4 = 0.673460816143141       # 15 x^2 + 10 x - 9 = 0, x = e^-t
@@ -238,6 +237,19 @@ def test_esd_time_terminates_when_float_spacing_exceeds_resolution():
     assert abs(classify(state, both).t_star * rate - T_STAR_COMBINED_4) < 1e-9
     amp_only = classify(state, symmetric("amplitude", rate))
     assert amp_only.kind is DecayKind.EXPONENTIAL
+
+
+def test_default_horizon_rejects_rates_whose_horizon_overflows():
+    # 20 / rate is inf below about 1.1e-307; the scan used to start on an
+    # inf horizon and fail with "t_max must be finite" or worse
+    state = lambda_state(4.0)
+    for rate in (5e-324, 1e-308):
+        with pytest.raises(ValueError, match=f"rate {rate!r} is too small"):
+            classify(state, symmetric("phase", rate))
+    assert classify(state, symmetric("phase", 1.2e-307)).kind is DecayKind.EXPONENTIAL
+    with pytest.raises(ValueError, match="rate 5e-324 is too small"):
+        diagram_grid([0.2], [0.3], symmetric("phase", 5e-324))
+    assert diagram_grid([0.2], [0.3], symmetric("phase", 5e-324), 1.0)[0].t_star is None
 
 
 def test_esd_time_accepts_general_density_matrix():

@@ -12,9 +12,8 @@ from esdlab import (
     validate_density,
 )
 from esdlab.concurrence import lambda_state, spin_flipped
-from esdlab.linalg import partial_trace
 
-from helpers import random_density, random_unitary
+from helpers import partial_trace, random_density, random_unitary
 
 I2 = np.eye(2, dtype=complex)
 BELL = np.zeros((4, 4), dtype=complex)
