@@ -24,16 +24,11 @@ from .channels import (
     NoiseSpec,
     amplitude_channel,
     apply_channel,
-    completeness_defect,
     compose,
     dephasing_channel,
-    dephasing_factors,
-    identity_channel,
     integrate_path,
-    lift,
     lindblad_rhs,
     noise_channel,
-    qubit_channel,
 )
 from .concurrence import (
     ConcurrenceTrace,
@@ -87,25 +82,20 @@ __all__ = [
     "coherence_factor",
     "combined_concurrence",
     "combined_death_time",
-    "completeness_defect",
     "compose",
     "concurrence",
     "concurrence_x",
     "dephasing_channel",
-    "dephasing_factors",
     "diagram_grid",
     "esd_time",
     "evolve_x",
-    "identity_channel",
     "integrate_path",
     "kron",
     "lambda_state",
-    "lift",
     "lindblad_rhs",
     "noise_channel",
     "phase_concurrence",
     "product_spectrum",
-    "qubit_channel",
     "run_validation",
     "trace_concurrence",
     "validate_density",

@@ -42,8 +42,6 @@ from .linalg import (
 )
 
 COMPLETENESS_TOL = 1e-10
-# grid times evolve_states takes through one stacked pass; bounds its memory
-BLOCK_TIMES = 64
 DEFAULT_DT = 1e-4
 # trace and positivity bound for RK4 states, which carry error from many steps
 INTEGRATOR_TOL = 1e-8
@@ -65,6 +63,12 @@ def check_rates(**rates: float):
     for name, rate in rates.items():
         if not (math.isfinite(rate) and rate >= 0.0):
             raise ValueError(f"{name} must be finite and >= 0, got {rate!r}")
+
+
+def check_time(t: float):
+    """Raise ValueError unless the elapsed time t is finite and >= 0."""
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ValueError(f"time must be finite and >= 0, got {t!r}")
 
 
 @dataclass(frozen=True)
@@ -94,7 +98,7 @@ class KrausChannel:
     Channels produced by the constructors of this module satisfy
     sum(K^dag K) = 1 to within COMPLETENESS_TOL; ``apply_channel`` enforces
     that before using a channel.  The container itself only checks shapes,
-    so that ``completeness_defect`` can be measured on broken channels.
+    so that ``_completeness_defect`` can be measured on broken channels.
     """
 
     dim: int
@@ -110,14 +114,9 @@ class KrausChannel:
         object.__setattr__(self, "ops", tuple(ops))
 
 
-def identity_channel(dim: int = 2) -> KrausChannel:
-    return KrausChannel(dim, (np.eye(dim, dtype=np.complex128),))
-
-
 def dephasing_factors(rate: float, t: float) -> tuple[float, float]:
     """Damping pair (gamma, omega) with gamma = exp(-rate*t/2), gamma^2 + omega^2 = 1."""
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
+    check_time(t)
     check_rates(rate=rate)
     gamma = math.exp(-0.5 * rate * t)
     omega = math.sqrt(max(0.0, 1.0 - gamma * gamma))
@@ -167,14 +166,6 @@ def _lift_stack(ops_a: np.ndarray, ops_b: np.ndarray) -> np.ndarray:
     return prod.reshape(len(prod), ops_a.shape[1] * ops_b.shape[1], 4, 4)
 
 
-def lift(ch_a: KrausChannel, ch_b: KrausChannel) -> KrausChannel:
-    """Two-qubit channel {K_i (x) L_j} from single-qubit channels for A and B."""
-    if ch_a.dim != 2 or ch_b.dim != 2:
-        raise ValueError("lift expects two single-qubit channels")
-    ops = _lift_stack(np.array(ch_a.ops)[None], np.array(ch_b.ops)[None])
-    return KrausChannel(4, tuple(ops[0]))
-
-
 def _compose_stack(first: np.ndarray, then: np.ndarray) -> np.ndarray:
     """Stacked ``compose`` of (n_t, n_ops, d, d) stacks: op i * n_then + j is L_j K_i."""
     return (then[:, None] @ first[:, :, None]).reshape(len(first), -1, *first.shape[2:])
@@ -193,11 +184,6 @@ def _completeness_defect(ops: np.ndarray) -> float:
     gram = ops.conj().swapaxes(-1, -2) @ ops
     gram = sum(gram.swapaxes(0, 1), np.zeros_like(gram[:, 0]))  # in op order
     return float(np.abs(gram - np.eye(ops.shape[-1])).max())
-
-
-def completeness_defect(ch: KrausChannel) -> float:
-    """Max-norm of sum(K^dag K) - 1."""
-    return _completeness_defect(np.array(ch.ops)[None])
 
 
 def _kraus_sum(ops: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -220,7 +206,8 @@ def apply_channel(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
 
 def _qubit_stack(rates: dict, times: Sequence[float], target: str) -> np.ndarray:
     """(n_t, n_ops, 2, 2) Kraus stack of one qubit's noise: the identity, then
-    each kind in ``rates`` at its summed rate, amplitude before phase."""
+    each kind in ``rates`` at its summed rate, amplitude before phase (the
+    kinds commute in action, so the order only fixes the representative)."""
     ops = np.broadcast_to(_I2, (len(times), 1, 2, 2))
     for kind in KINDS:
         if (target, kind) in rates:
@@ -228,21 +215,14 @@ def _qubit_stack(rates: dict, times: Sequence[float], target: str) -> np.ndarray
     return ops
 
 
-def qubit_channel(specs: Iterable[NoiseSpec], t: float, target: str) -> KrausChannel:
-    """Channel for all noises acting on one qubit at elapsed time t.
-
-    Rates add, so each kind contributes one channel at its summed rate: at
-    most 4 Kraus matrices however many specs there are.  Amplitude comes
-    before phase; the kinds commute in action, so the order only fixes the
-    Kraus representative.
-    """
-    return KrausChannel(2, tuple(_qubit_stack(fold_rates(specs), [t], target)[0]))
+def _noise_stack(rates: dict, times: Sequence[float]) -> np.ndarray:
+    """(n_t, n_ops, 4, 4) Kraus stack of a folded noise set: the one builder."""
+    return _lift_stack(_qubit_stack(rates, times, "A"), _qubit_stack(rates, times, "B"))
 
 
 def noise_channel(specs: Iterable[NoiseSpec], t: float) -> KrausChannel:
-    """Two-qubit channel for a noise set at elapsed time t."""
-    specs = tuple(specs)
-    return lift(qubit_channel(specs, t, "A"), qubit_channel(specs, t, "B"))
+    """Two-qubit channel for a noise set at elapsed time t: at most 16 Kraus ops."""
+    return KrausChannel(4, tuple(_noise_stack(fold_rates(specs), [t])[0]))
 
 
 def evolve_states(
@@ -252,18 +232,14 @@ def evolve_states(
 
     Equal, bit for bit, to stacking apply_channel(noise_channel(specs, t),
     rho0).mat over the grid, with the same checks: the same Kraus matrices,
-    applied in the same order by stacked matmuls, BLOCK_TIMES times at once.
+    applied in the same order by stacked matmuls, in one pass.
     """
     if rho0.dim != 4:
         raise ValueError(f"dimension mismatch: channel 4, state {rho0.dim}")
-    rates = fold_rates(specs)
     times = [float(t) for t in times]
-    out = np.empty((len(times), 4, 4), dtype=np.complex128)
-    for lo in range(0, len(times), BLOCK_TIMES):
-        block = times[lo:lo + BLOCK_TIMES]
-        ops = _lift_stack(_qubit_stack(rates, block, "A"), _qubit_stack(rates, block, "B"))
-        out[lo:lo + len(block)] = check_densities(_kraus_sum(ops, rho0.mat))
-    return out
+    if not times:  # the stacked checks take a max over at least one time
+        return np.empty((0, 4, 4), dtype=np.complex128)
+    return check_densities(_kraus_sum(_noise_stack(fold_rates(specs), times), rho0.mat))
 
 
 def _lift_op(op: np.ndarray, target: str, n_qubits: int) -> np.ndarray:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .closedform import (
     combined_death_time,
     phase_concurrence,
 )
-from .concurrence import esd_time, lambda_state, trace_concurrence
+from .concurrence import classify, lambda_state, trace_concurrence
 from .linalg import check_densities, validate_density
 
 LAMBDAS = (1.0, 2.0, 3.0, 3.5, 4.0)
@@ -113,17 +114,21 @@ def _symmetric(kind: str, rate: float) -> tuple[NoiseSpec, NoiseSpec]:
     return (NoiseSpec("A", kind, rate), NoiseSpec("B", kind, rate))
 
 
-def _check_phase_law() -> CheckResult:
+def _worst_vs_law(cases) -> float:
+    """Worst |traced concurrence - law(t)| over (lam, specs, times, law) cases."""
     worst = 0.0
+    for lam, specs, times, law in cases:
+        got = trace_concurrence(lambda_state(lam).to_density(), specs, times).values
+        for t, c in zip(times, got):
+            worst = max(worst, abs(c - law(t)))
+    return worst
+
+
+def _check_phase_law() -> CheckResult:
     times = np.linspace(0.0, 5.0, N_TIMES)
-    for lam in LAMBDAS:
-        rho0 = lambda_state(lam).to_density()
-        for rate in RATES:
-            specs = _symmetric("phase", rate)
-            got = trace_concurrence(rho0, specs, times).values
-            for t, c in zip(times, got):
-                worst = max(worst, abs(c - phase_concurrence(lam, rate, t)))
-    return _result("phase_noise_concurrence", worst, 1e-10)
+    cases = ((lam, _symmetric("phase", rate), times, partial(phase_concurrence, lam, rate))
+             for lam in LAMBDAS for rate in RATES)
+    return _result("phase_noise_concurrence", _worst_vs_law(cases), 1e-10)
 
 
 def _check_amplitude_elements() -> CheckResult:
@@ -145,36 +150,24 @@ def _check_amplitude_elements() -> CheckResult:
 
 
 def _check_amplitude_law() -> list[CheckResult]:
-    worst = 0.0
-    survived = True
-    for lam in (3.0, 3.5, 4.0):
-        rho0 = lambda_state(lam).to_density()
-        for rate in RATES:
-            specs = _symmetric("amplitude", rate)
-            times = np.linspace(0.0, 5.0 / rate, N_TIMES)
-            got = trace_concurrence(rho0, specs, times).values
-            for t, c in zip(times, got):
-                worst = max(worst, abs(c - amplitude_concurrence(lam, rate, t)))
-            if esd_time(lambda_state(lam), specs, 20.0 / rate) is not None:
-                survived = False
+    cases = [(lam, _symmetric("amplitude", rate), np.linspace(0.0, 5.0 / rate, N_TIMES),
+              partial(amplitude_concurrence, lam, rate))
+             for lam in (3.0, 3.5, 4.0) for rate in RATES]
+    # on the default horizon 20 / rate
+    survived = all(classify(lambda_state(lam), specs).t_star is None
+                   for lam, specs, _, _ in cases)
     return [
-        _result("amplitude_noise_concurrence", worst, 1e-10),
+        _result("amplitude_noise_concurrence", _worst_vs_law(cases), 1e-10),
         CheckResult("amplitude_noise_no_death", survived, 0.0 if survived else 1.0, 0.0),
     ]
 
 
 def _check_combined_law() -> CheckResult:
-    worst = 0.0
     times = np.linspace(0.0, 5.0, N_TIMES)
-    for lam in LAMBDAS:
-        rho0 = lambda_state(lam).to_density()
-        for g1 in RATES:
-            for g2 in RATES:
-                specs = _symmetric("amplitude", g1) + _symmetric("phase", g2)
-                got = trace_concurrence(rho0, specs, times).values
-                for t, c in zip(times, got):
-                    worst = max(worst, abs(c - combined_concurrence(lam, g1, g2, t)))
-    return _result("combined_noise_concurrence", worst, 1e-10)
+    cases = ((lam, _symmetric("amplitude", g1) + _symmetric("phase", g2), times,
+              partial(combined_concurrence, lam, g1, g2))
+             for lam in LAMBDAS for g1 in RATES for g2 in RATES)
+    return _result("combined_noise_concurrence", _worst_vs_law(cases), 1e-10)
 
 
 def _check_reductions() -> CheckResult:
@@ -208,12 +201,12 @@ def _check_witness() -> CheckResult:
         phase_only = combined_death_time(lam, 0.0, 1.0)
         if both is None or amp_only is not None or phase_only is not None:
             violations += 1
-        state = lambda_state(lam)
-        if esd_time(state, _symmetric("amplitude", 1.0), 20.0) is not None:
+        state = lambda_state(lam)  # classified on the default horizon 20 / 1.0
+        if classify(state, _symmetric("amplitude", 1.0)).t_star is not None:
             violations += 1
-        if esd_time(state, _symmetric("phase", 1.0), 20.0) is not None:
+        if classify(state, _symmetric("phase", 1.0)).t_star is not None:
             violations += 1
-        t_num = esd_time(state, _symmetric("amplitude", 1.0) + _symmetric("phase", 1.0), 20.0)
+        t_num = classify(state, _symmetric("amplitude", 1.0) + _symmetric("phase", 1.0)).t_star
         if t_num is None or both is None or abs(t_num - both) > 1e-8:
             violations += 1
     return CheckResult(

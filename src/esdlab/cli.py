@@ -24,6 +24,7 @@ from .concurrence import (
     DecayKind,
     SeparableStateError,
     XState,
+    default_t_max,
     diagram_grid,
     esd_time,
     lambda_state,
@@ -221,11 +222,12 @@ def cmd_diagram(args) -> int:
     specs = [NoiseSpec(q, kind, args.rate) for kind in _PANELS[args.panel] for q in "AB"]
     a_values = np.linspace(0.0, 1.0, args.resolution)
     z_values = np.linspace(0.0, 0.5, args.resolution)
-    if args.t_max is None and not math.isfinite(20.0 / args.rate):  # the default horizon
-        raise ConfigError(
-            f"--rate {args.rate!r} is too small for the default horizon 20 / rate; give --t-max"
-        )
-    cells = diagram_grid(a_values, z_values, specs, args.t_max)
+    try:
+        t_max = default_t_max([args.rate]) if args.t_max is None else args.t_max
+    except ValueError as exc:
+        raise ConfigError(f"--rate {args.rate!r} is too small for the default horizon "
+                          "20 / rate; give --t-max") from exc
+    cells = diagram_grid(a_values, z_values, specs, t_max)
     rows = [[_fmt(c.a), _fmt(c.z), c.kind.value, "" if c.t_star is None else _fmt(c.t_star)]
             for c in cells]
     _table(args, ["a", "z", "class", "t_star"], rows)

@@ -25,18 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-from .channels import check_rates
-from .concurrence import SCAN_POINTS, default_t_max, first_root
-
-
-def _check_lambda(lam: float):
-    if not (0 < lam <= 4):
-        raise ValueError(f"lambda must be in (0, 4], got {lam}")
-
-
-def _check_time(t: float):
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
+from .channels import check_rates, check_time
+from .concurrence import SCAN_POINTS, check_lambda, default_t_max, first_root
 
 
 def coherence_factor(rate_amp: float, rate_phase: float, t: float) -> float:
@@ -47,23 +37,23 @@ def coherence_factor(rate_amp: float, rate_phase: float, t: float) -> float:
     transverse rate.
     """
     check_rates(rate_amp=rate_amp, rate_phase=rate_phase)
-    _check_time(t)
+    check_time(t)
     return math.exp(-(0.5 * rate_amp + rate_phase) * t)
 
 
 def phase_concurrence(lam: float, rate: float, t: float) -> float:
     """Concurrence under symmetric phase noise: (2 lam / 9) exp(-rate t)."""
-    _check_lambda(lam)
+    check_lambda(lam)
     check_rates(rate=rate)
-    _check_time(t)
+    check_time(t)
     return (2.0 * lam / 9.0) * math.exp(-rate * t)
 
 
 def amplitude_elements(lam: float, rate: float, t: float):
     """Matrix elements (z, a, d) under symmetric amplitude noise."""
-    _check_lambda(lam)
+    check_lambda(lam)
     check_rates(rate=rate)
-    _check_time(t)
+    check_time(t)
     decay = math.exp(-rate * t)
     w2 = 1.0 - decay
     z = (lam / 9.0) * decay
@@ -90,7 +80,7 @@ def amplitude_concurrence(lam: float, rate: float, t: float) -> float:
             "use amplitude_elements for the general case"
         )
     check_rates(rate=rate)
-    _check_time(t)
+    check_time(t)
     return (2.0 / 9.0) * _bracket(lam, rate, 0.0, t) * math.exp(-rate * t)
 
 
@@ -98,9 +88,9 @@ def combined_concurrence(
     lam: float, rate_amp: float, rate_phase: float, t: float
 ) -> float:
     """Concurrence under simultaneous symmetric amplitude and phase noise."""
-    _check_lambda(lam)
+    check_lambda(lam)
     check_rates(rate_amp=rate_amp, rate_phase=rate_phase)
-    _check_time(t)
+    check_time(t)
     bracket = _bracket(lam, rate_amp, rate_phase, t)
     return (2.0 / 9.0) * math.exp(-rate_amp * t) * max(0.0, bracket)
 
@@ -113,7 +103,7 @@ def combined_death_time(
     Returns None when the bracket keeps its sign up to the horizon
     20 / min(positive rate), meaning the decay stays exponential.
     """
-    _check_lambda(lam)
+    check_lambda(lam)
     check_rates(rate_amp=rate_amp, rate_phase=rate_phase)
     t_max = default_t_max((rate_amp, rate_phase))
 

@@ -18,13 +18,17 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .channels import BLOCK_TIMES, KINDS, TARGETS, NoiseSpec, evolve_states, fold_rates
+from .channels import KINDS, TARGETS, NoiseSpec, check_time, evolve_states, fold_rates
 from .linalg import DensityMatrix, kron, product_spectrum, validate_density
 
 # root scan: grid points on (0, t_max], and the bisection width of esd_time
 SCAN_POINTS = 512
 SCAN_BLOCK = 32  # X states scanned at a time: bounds the (block, grid) temporaries
 ESD_RESOLUTION = 1e-10
+# grid times trace_concurrence evolves at once: bounds the (block, 16, 4, 4) Kraus stack
+BLOCK_TIMES = 64
+# slack on XState's population sum and |z| <= sqrt(b c), and on diagram_grid's |z| clamp
+XSTATE_TOL = 1e-12
 _SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 _SPIN_FLIP = kron(_SIGMA_Y, _SIGMA_Y)
 
@@ -61,9 +65,9 @@ class XState:
             raise ValueError("entries must be finite")
         if min(pops) < 0:
             raise ValueError(f"populations must be >= 0, got {pops}")
-        if abs(sum(pops) - 1.0) > 1e-12:
+        if abs(sum(pops) - 1.0) > XSTATE_TOL:
             raise ValueError(f"populations must sum to 1, got {sum(pops)!r}")
-        if abs(self.z) > math.sqrt(self.b * self.c) + 1e-12:
+        if abs(self.z) > math.sqrt(self.b * self.c) + XSTATE_TOL:
             raise ValueError(
                 f"|z| = {abs(self.z):.6g} exceeds sqrt(b c) = "
                 f"{math.sqrt(self.b * self.c):.6g}"
@@ -77,10 +81,15 @@ class XState:
         return validate_density(m)
 
 
-def lambda_state(lam: float) -> XState:
-    """One-parameter benchmark family: populations (1, 4, 4, 0)/9, z = lam/9."""
+def check_lambda(lam: float):
+    """Raise ValueError unless lam is in (0, 4], the benchmark family's range."""
     if not (0 < lam <= 4):
         raise ValueError(f"lambda must be in (0, 4], got {lam}")
+
+
+def lambda_state(lam: float) -> XState:
+    """One-parameter benchmark family: populations (1, 4, 4, 0)/9, z = lam/9."""
+    check_lambda(lam)
     return XState(1 / 9, 4 / 9, 4 / 9, 0.0, lam / 9)
 
 
@@ -126,8 +135,7 @@ def evolve_x(x: XState, specs: Iterable[NoiseSpec], t: float) -> XState:
     damping factors.  Identical (to roundoff) to building and applying the
     Kraus channels.
     """
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
+    check_time(t)
     amp_a, amp_b, ph_a, ph_b = _x_rates(specs)
     ga, gb = math.exp(-amp_a * t), math.exp(-amp_b * t)
     zf = math.exp(-0.5 * (amp_a + ph_a + amp_b + ph_b) * t)
@@ -220,8 +228,8 @@ def trace_concurrence(
 
     The state is propagated with the lifted Kraus channels built at each
     grid time (never by composing earlier steps), so there is no error
-    accumulation along the grid; ``evolve_states`` applies them in stacked
-    blocks.
+    accumulation along the grid; ``evolve_states`` applies them BLOCK_TIMES
+    times at a time, which bounds memory on long grids.
     """
     specs = tuple(specs)
     times = np.asarray(times, dtype=float)
@@ -368,7 +376,7 @@ def diagram_grid(
         half = 0.5 * (1.0 - a)
         for z in z_values:
             kind = DecayKind.INVALID
-            if 0 <= a <= 1 and 0 <= z <= half + 1e-12:
+            if 0 <= a <= 1 and 0 <= z <= half + XSTATE_TOL:
                 state = XState(float(a), half, half, 0.0, min(float(z), half))
                 kind = DecayKind.SEPARABLE_AT_START
                 if concurrence_x(state) != 0.0:  # classified below

@@ -6,6 +6,7 @@ package would make the traced benchmark run crash rather than fail a check.
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -44,3 +45,13 @@ def test_attributes_read_by_benchmark_exist():
     trace = concurrence.trace_concurrence(x, specs, np.linspace(0.0, 1.0, 3))
     assert trace.values.shape == (3,)
     assert concurrence.concurrence_x(concurrence.evolve_x(x, specs, 0.5)) > 0
+
+
+def test_arguments_read_by_benchmark_keep_their_places():
+    """The tracer reads ``apply_channel``'s ``ch``, ``integrate_path``'s
+    ``times`` and ``dt`` (by position or keyword) and ``noise_channel(...).ops``."""
+    channels = importlib.import_module("esdlab.channels")
+    assert list(inspect.signature(channels.apply_channel).parameters)[0] == "ch"
+    assert list(inspect.signature(channels.integrate_path).parameters)[2:4] == ["times", "dt"]
+    all_four = [channels.NoiseSpec(q, k, 1.0) for q in "AB" for k in ("amplitude", "phase")]
+    assert len(channels.noise_channel(all_four, 0.5).ops) == 16

@@ -10,24 +10,35 @@ from esdlab import (
     NumericalFailureError,
     amplitude_channel,
     apply_channel,
-    completeness_defect,
     compose,
     dephasing_channel,
-    dephasing_factors,
-    identity_channel,
     integrate_path,
+    kron,
     lambda_state,
-    lift,
     lindblad_rhs,
     noise_channel,
-    qubit_channel,
     validate_density,
 )
-from esdlab.channels import DEFAULT_DT, MAX_RK4_STEPS, RK4_STABILITY_LIMIT
+from esdlab.channels import (
+    DEFAULT_DT,
+    MAX_RK4_STEPS,
+    RK4_STABILITY_LIMIT,
+    _completeness_defect,
+    _lift_stack,
+    _qubit_stack,
+    dephasing_factors,
+    fold_rates,
+)
 
 from helpers import partial_trace, random_density, random_x_state
 
 PLUS_X = validate_density(np.full((2, 2), 0.5, dtype=complex))
+IDENTITY = KrausChannel(2, (np.eye(2),))
+
+
+def _stack(*channels):
+    """(1, n_ops, d, d) Kraus stack of channels' ops, one time, op order kept."""
+    return np.array([op for ch in channels for op in ch.ops])[None]
 
 
 def test_noise_spec_validation():
@@ -49,8 +60,9 @@ def test_dephasing_factors():
     g, w = dephasing_factors(1.0, 2 * math.log(2))
     assert abs(g - 0.5) < 1e-15
     assert abs(w - math.sqrt(3) / 2) < 1e-15
-    with pytest.raises(ValueError):
-        dephasing_factors(1.0, -0.1)
+    for bad_t in (-0.1, math.inf, math.nan):
+        with pytest.raises(ValueError, match="time must be finite and >= 0"):
+            dephasing_factors(0.0, bad_t)
 
 
 @pytest.mark.parametrize("build", [dephasing_channel, amplitude_channel])
@@ -65,8 +77,8 @@ def test_channels_start_as_identity(build):
 @pytest.mark.parametrize("build", [dephasing_channel, amplitude_channel])
 def test_channels_complete_on_log_grid(build):
     for rate in (0.1, 1.0, 3.0):
-        for t in [0.0] + list(np.logspace(-3, np.log10(20.0 / rate), 25)):
-            assert completeness_defect(build(rate, t)) <= 1e-12
+        grid = [0.0] + list(np.logspace(-3, np.log10(20.0 / rate), 25))
+        assert _completeness_defect(np.array([build(rate, t).ops for t in grid])) <= 1e-12
 
 
 def test_dephasing_action():
@@ -97,8 +109,8 @@ def test_amplitude_action():
 
 def test_amplitude_lift_reproduces_population_laws():
     lam, rate, t = 4.0, 1.0, 0.7
-    ch = amplitude_channel(rate, t)
-    out = apply_channel(lift(ch, ch), lambda_state(lam).to_density())
+    specs = (NoiseSpec("A", "amplitude", rate), NoiseSpec("B", "amplitude", rate))
+    out = apply_channel(noise_channel(specs, t), lambda_state(lam).to_density())
     w2 = 1.0 - math.exp(-rate * t)
     assert abs(out.mat[0, 0] - math.exp(-2 * rate * t) / 9) < 1e-15
     assert abs(out.mat[3, 3] - (w2 * w2 / 9 + 8 * w2 / 9)) < 1e-15
@@ -106,18 +118,17 @@ def test_amplitude_lift_reproduces_population_laws():
 
 
 def test_lift_structure_and_identity():
-    assert np.array_equal(lift(identity_channel(), identity_channel()).ops[0],
-                          np.eye(4))
+    assert np.array_equal(_lift_stack(_stack(IDENTITY), _stack(IDENTITY))[0, 0], np.eye(4))
+    assert np.array_equal(noise_channel((), 0.5).ops, [np.eye(4)])
     g, _ = dephasing_factors(1.0, 1.0)
-    lifted = lift(dephasing_channel(1.0, 1.0), dephasing_channel(1.0, 1.0))
-    assert len(lifted.ops) == 4
-    assert np.allclose(lifted.ops[0], np.diag([g * g, g, g, 1.0]), atol=0)
-    with pytest.raises(ValueError):
-        lift(lifted, identity_channel())
+    pair = _stack(dephasing_channel(1.0, 1.0))
+    lifted = _lift_stack(pair, pair)[0]
+    assert len(lifted) == 4
+    assert np.allclose(lifted[0], np.diag([g * g, g, g, 1.0]), atol=0)
 
 
 def test_lift_leaves_other_marginal_alone(rng):
-    ch = lift(identity_channel(), amplitude_channel(1.0, 0.8))
+    ch = noise_channel((NoiseSpec("B", "amplitude", 1.0),), 0.8)
     for _ in range(20):
         rho = random_density(rng, 4)
         out = apply_channel(ch, rho)
@@ -128,7 +139,7 @@ def test_lift_leaves_other_marginal_alone(rng):
 
 def test_apply_channel_guards():
     with pytest.raises(ValueError):
-        apply_channel(identity_channel(2), validate_density(np.eye(4) / 4))
+        apply_channel(IDENTITY, validate_density(np.eye(4) / 4))
     broken = KrausChannel(2, (np.diag([0.9, 1.0]),))
     with pytest.raises(ValueError):
         apply_channel(broken, PLUS_X)
@@ -151,8 +162,8 @@ def test_dephasing_lift_on_x_state():
     x = lambda_state(4.0)
     ga, _ = dephasing_factors(1.0, 0.9)
     gb, _ = dephasing_factors(2.0, 0.9)
-    ch = lift(dephasing_channel(1.0, 0.9), dephasing_channel(2.0, 0.9))
-    out = apply_channel(ch, x.to_density())
+    specs = (NoiseSpec("A", "phase", 1.0), NoiseSpec("B", "phase", 2.0))
+    out = apply_channel(noise_channel(specs, 0.9), x.to_density())
     diag = np.diagonal(out.mat).real
     assert np.allclose(diag, [x.a, x.b, x.c, x.d], atol=1e-15)
     assert abs(out.mat[1, 2] - x.z * ga * gb) < 1e-15
@@ -160,7 +171,7 @@ def test_dephasing_lift_on_x_state():
 
 def test_compose_identity_and_order():
     ch = amplitude_channel(1.0, 0.5)
-    composed = compose(identity_channel(), ch)
+    composed = compose(IDENTITY, ch)
     rho = validate_density(np.array([[0.6, 0.2 + 0.1j], [0.2 - 0.1j, 0.4]]))
     assert np.abs(apply_channel(composed, rho).mat
                   - apply_channel(ch, rho).mat).max() < 1e-15
@@ -184,12 +195,14 @@ def test_compose_order_swap_equal_in_action(rng):
 
 
 def test_completeness_defect_values():
-    assert completeness_defect(identity_channel(4)) == 0.0
-    assert completeness_defect(dephasing_channel(1.0, 1.0)) <= 1e-15
+    assert _completeness_defect(np.eye(4)[None, None]) == 0.0
     full = dephasing_channel(1.0, 1.0)
+    assert _completeness_defect(_stack(full)) <= 1e-15
     _, w = dephasing_factors(1.0, 1.0)
-    clipped = KrausChannel(2, (full.ops[0],))
-    assert abs(completeness_defect(clipped) - w * w) < 1e-15
+    assert abs(_completeness_defect(_stack(full)[:, :1]) - w * w) < 1e-15
+    # the worst time of a stack counts: sum K^dag K is 1, then 1/4
+    two_times = np.array([[np.eye(2), np.zeros((2, 2))], [0.5 * np.eye(2), np.zeros((2, 2))]])
+    assert _completeness_defect(two_times) == 0.75
 
 
 def test_semigroup_property(rng):
@@ -218,8 +231,10 @@ def test_qubit_channel_rates_add():
     twice = (NoiseSpec("A", "amplitude", 0.4), NoiseSpec("A", "amplitude", 0.8))
     once = (NoiseSpec("A", "amplitude", 1.2),)
     rho = validate_density(np.array([[0.8, 0.3], [0.3, 0.2]], dtype=complex))
-    out1 = apply_channel(qubit_channel(twice, 0.9, "A"), rho)
-    out2 = apply_channel(qubit_channel(once, 0.9, "A"), rho)
+    ops1, ops2 = (_qubit_stack(fold_rates(s), [0.9], "A")[0] for s in (twice, once))
+    assert len(ops1) == len(ops2) == 2
+    out1 = apply_channel(KrausChannel(2, tuple(ops1)), rho)
+    out2 = apply_channel(KrausChannel(2, tuple(ops2)), rho)
     assert np.abs(out1.mat - out2.mat).max() < 1e-15
 
 
@@ -232,7 +247,7 @@ def _same_kind_specs(k, rng):
 
 def _per_spec_chain(specs, t, target):
     """One Kraus pair per spec, composed in turn: amplitude specs, then phase."""
-    ch = identity_channel(2)
+    ch = IDENTITY
     for kind, build in (("amplitude", amplitude_channel), ("phase", dephasing_channel)):
         for s in specs:
             if s.target == target and s.kind == kind:
@@ -252,14 +267,16 @@ def test_noise_channel_folds_same_kind_specs(rng):
 
 
 def test_folded_channel_matches_per_spec_chain(rng):
-    identity = identity_channel(2)
+    eye = np.eye(2)
     for k in (1, 2, 3):
         for _ in range(5):
             specs = _same_kind_specs(k, rng)
             t = float(rng.uniform(0.0, 2.0))
             rho = random_density(rng, 4)
-            want = apply_channel(lift(_per_spec_chain(specs, t, "A"), identity), rho)
-            want = apply_channel(lift(identity, _per_spec_chain(specs, t, "B")), want)
+            on_a = [kron(op, eye) for op in _per_spec_chain(specs, t, "A").ops]
+            on_b = [kron(eye, op) for op in _per_spec_chain(specs, t, "B").ops]
+            want = apply_channel(KrausChannel(4, tuple(on_a)), rho)
+            want = apply_channel(KrausChannel(4, tuple(on_b)), want)
             got = apply_channel(noise_channel(specs, t), rho)
             assert np.abs(got.mat - want.mat).max() < 1e-12
 

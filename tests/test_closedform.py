@@ -9,6 +9,8 @@ from esdlab import (
     coherence_factor,
     combined_concurrence,
     combined_death_time,
+    evolve_x,
+    lambda_state,
     phase_concurrence,
 )
 
@@ -133,3 +135,18 @@ def test_combined_death_time_rejects_rates_whose_horizon_overflows():
     # the default horizon 20 / min(rate) is inf here: this returned t* = inf
     with pytest.raises(ValueError, match="rate 5e-324 is too small"):
         combined_death_time(4.0, 5e-324, 5e-324)
+
+
+def test_every_time_argument_must_be_finite_and_nonnegative():
+    # NaN and inf times gave nan: phase_concurrence(4, 1, nan), and
+    # phase_concurrence(4, 0, inf) from 0 * inf
+    for bad in (-0.5, math.inf, math.nan):
+        for call in (lambda: coherence_factor(1.0, 1.0, bad),
+                     lambda: phase_concurrence(4.0, 1.0, bad),
+                     lambda: phase_concurrence(4.0, 0.0, bad),
+                     lambda: amplitude_elements(4.0, 1.0, bad),
+                     lambda: amplitude_concurrence(4.0, 1.0, bad),
+                     lambda: combined_concurrence(4.0, 1.0, 1.0, bad),
+                     lambda: evolve_x(lambda_state(4.0), (), bad)):
+            with pytest.raises(ValueError, match="^time must be finite and >= 0"):
+                call()

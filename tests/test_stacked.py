@@ -22,14 +22,13 @@ from esdlab import (
     apply_channel,
     concurrence,
     concurrence_x,
-    dephasing_factors,
     noise_channel,
     product_spectrum,
     trace_concurrence,
     validate_density,
 )
-from esdlab.channels import BLOCK_TIMES, evolve_states
-from esdlab.concurrence import spin_flipped
+from esdlab.channels import dephasing_factors, evolve_states
+from esdlab.concurrence import BLOCK_TIMES, spin_flipped
 from esdlab.linalg import check_densities
 
 from helpers import random_density, random_x_state
@@ -46,7 +45,7 @@ NOISE_SETS = {
     "huge_rate": (NoiseSpec("A", "amplitude", 1e300), NoiseSpec("B", "phase", 1.0)),
     "all_four": tuple(NoiseSpec(q, k, 1.0) for q in "AB" for k in ("amplitude", "phase")),
 }
-# t = 0 first, and two full blocks plus a remainder
+# t = 0 first, and two full trace_concurrence blocks plus a remainder
 GRID = np.linspace(0.0, 3.0, 2 * BLOCK_TIMES + 7)
 
 
@@ -93,13 +92,14 @@ def _initial_states(rng):
 def test_evolve_states_equals_per_time_loop(rng, name):
     specs = NOISE_SETS[name]
     for rho in _initial_states(rng):
-        got = evolve_states(rho, specs, GRID)
-        assert got.shape == (len(GRID), 4, 4)
-        via_channels = np.array([apply_channel(noise_channel(specs, t), rho).mat
-                                 for t in GRID])
-        via_loop = np.array([_evolve_loop(rho.mat, specs, t) for t in GRID])
-        assert np.array_equal(got, via_channels)
-        assert np.array_equal(got, via_loop)
+        for grid in (GRID, GRID[:0]):  # and the empty grid
+            got = evolve_states(rho, specs, grid)
+            assert got.shape == (len(grid), 4, 4)
+            via_channels = np.array([apply_channel(noise_channel(specs, t), rho).mat
+                                     for t in grid]).reshape(-1, 4, 4)
+            via_loop = np.array([_evolve_loop(rho.mat, specs, t) for t in grid])
+            assert np.array_equal(got, via_channels)
+            assert np.array_equal(got, via_loop.reshape(-1, 4, 4))
 
 
 def _trace_loop(initial, specs, times):
