@@ -18,7 +18,15 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .channels import KINDS, TARGETS, NoiseSpec, check_time, evolve_states, fold_rates
+from .channels import (
+    KINDS,
+    TARGETS,
+    NoiseSpec,
+    check_time,
+    evolve_states,
+    fold_rates,
+    transfer_states,
+)
 from .linalg import DensityMatrix, kron, product_spectrum, validate_density
 
 # root scan: grid points on (0, t_max], and the bisection width of esd_time
@@ -209,12 +217,15 @@ def _x_entry_margins(states: np.ndarray) -> np.ndarray:
 
 
 def _evolved_margins(initial, specs: tuple, times) -> np.ndarray:
-    """Margins of the Kraus-evolved states, BLOCK_TIMES times at a time."""
-    is_x = isinstance(initial, XState)
-    rho0 = initial.to_density() if is_x else initial
-    margins = _x_entry_margins if is_x else concurrence_margins
+    """Margins of the evolved states, BLOCK_TIMES times at a time: an XState's
+    by the Kraus channels and its X entries, a DensityMatrix's by transfer
+    maps and the general formula (the routes of ``trace_concurrence``)."""
+    if isinstance(initial, XState):
+        rho0, evolve, margins = initial.to_density(), evolve_states, _x_entry_margins
+    else:
+        rho0, evolve, margins = initial, transfer_states, concurrence_margins
     return np.concatenate([
-        margins(evolve_states(rho0, specs, times[lo:lo + BLOCK_TIMES]))
+        margins(evolve(rho0, specs, times[lo:lo + BLOCK_TIMES]))
         for lo in range(0, len(times), BLOCK_TIMES)
     ])
 
@@ -226,10 +237,13 @@ def trace_concurrence(
 ) -> ConcurrenceTrace:
     """Concurrence along a time grid, each point evolved fresh from t = 0.
 
-    The state is propagated with the lifted Kraus channels built at each
-    grid time (never by composing earlier steps), so there is no error
-    accumulation along the grid; ``evolve_states`` applies them BLOCK_TIMES
-    times at a time, which bounds memory on long grids.
+    The state is propagated with the channels at each grid time (never by
+    composing earlier steps), so there is no error accumulation along the
+    grid, BLOCK_TIMES times at a time, which bounds memory on long grids.
+    An XState goes through the Kraus channels (``evolve_states``) and the
+    closed form on its X entries; a DensityMatrix through per-qubit transfer
+    maps (``transfer_states``) and the general formula.  The X route waits
+    for the transfer maps because they move its values by a few 1e-16.
     """
     specs = tuple(specs)
     times = np.asarray(times, dtype=float)
@@ -289,6 +303,12 @@ def esd_time(
     stays zero and needs no check past it.  Returns None when the margin
     stays positive on the whole grid, and raises SeparableStateError when
     there is nothing to lose at t = 0.
+
+    For a DensityMatrix the margin is read off the evolved 4x4 matrix, so
+    there is a precision floor: once the concurrence is below the roundoff
+    of the evolved entries, no test on that matrix can decide death, and a
+    late t* may be an artifact.  The X route reads the margin from
+    ``_x_margins`` instead, which divides out the decay its terms share.
     """
     specs = tuple(specs)
     _check_horizon(t_max)

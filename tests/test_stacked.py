@@ -1,9 +1,10 @@
 """Stacked evolution and checks against per-time loops, bit for bit.
 
-``evolve_states`` and ``trace_concurrence`` apply the Kraus matrices of a
-whole time grid with stacked matmuls.  The arithmetic is the one of the
-per-time loop kept here as the reference, so results must be equal, never
-merely close.
+``evolve_states`` and the X-state route of ``trace_concurrence`` apply the
+Kraus matrices of a whole time grid with stacked matmuls.  The arithmetic
+is the one of the per-time loop kept here as the reference, so results
+must be equal, never merely close.  General states are traced by transfer
+maps instead, and agree with that loop to roundoff.
 """
 
 import math
@@ -119,11 +120,17 @@ def _trace_loop(initial, specs, times):
 
 @pytest.mark.parametrize("name", sorted(NOISE_SETS))
 def test_trace_concurrence_equals_per_point_loop(rng, name):
+    """X states take the Kraus route, bit for bit; general states take the
+    transfer maps, equal to the Kraus loop to roundoff."""
     specs = NOISE_SETS[name]
-    for initial in (_entangled_x(rng), random_density(rng, 4)):
-        got = trace_concurrence(initial, specs, GRID).values
-        assert got.max() > 0.0
-        assert np.array_equal(got, _trace_loop(initial, specs, GRID))
+    x = _entangled_x(rng)
+    got = trace_concurrence(x, specs, GRID).values
+    assert got.max() > 0.0
+    assert np.array_equal(got, _trace_loop(x, specs, GRID))
+    rho = random_density(rng, 4)
+    got = trace_concurrence(rho, specs, GRID).values
+    assert got.max() > 0.0
+    assert np.abs(got - _trace_loop(rho, specs, GRID)).max() <= 1e-13
 
 
 def test_stacked_product_spectrum_rows_equal_single_calls(rng):
