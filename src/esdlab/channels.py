@@ -79,6 +79,18 @@ def check_time(t: float):
         raise ValueError(f"time must be finite and >= 0, got {t!r}")
 
 
+def check_times(times) -> np.ndarray:
+    """A time grid as a 1d float array, every time checked as by ``check_time``,
+    which names the first bad one: the one grid check."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise ValueError(f"need a 1d time grid, got shape {times.shape}")
+    bad = ~(np.isfinite(times) & (times >= 0.0))
+    if bad.any():
+        check_time(float(times[bad.argmax()]))
+    return times
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """One independent noise source: target qubit, kind and rate.
@@ -122,30 +134,27 @@ class KrausChannel:
         object.__setattr__(self, "ops", tuple(ops))
 
 
-def dephasing_factors(rate: float, t: float) -> tuple[float, float]:
-    """Damping pair (gamma, omega) with gamma = exp(-rate*t/2), gamma^2 + omega^2 = 1."""
-    check_time(t)
-    check_rates(rate=rate)
-    gamma = math.exp(-0.5 * rate * t)
-    omega = math.sqrt(max(0.0, 1.0 - gamma * gamma))
-    return gamma, omega
-
-
 def fold_rates(specs: Iterable[NoiseSpec]) -> dict:
-    """Summed rate per (target, kind) that occurs in ``specs``, added in spec order."""
+    """Summed rate per (target, kind) that occurs in ``specs``, added in spec
+    order; raises ValueError, naming the qubit and kind, on a sum that overflows."""
     rates: dict = {}
     for s in specs:
         rates[s.target, s.kind] = rates.get((s.target, s.kind), 0.0) + s.rate
+    for (target, kind), rate in rates.items():
+        if not math.isfinite(rate):
+            raise ValueError(f"summed {kind} rate of qubit {target} must be finite, got {rate!r}")
     return rates
 
 
 def _kind_stack(kind: str, rate: float, times: Sequence[float]) -> np.ndarray:
-    """(n_t, 2, 2, 2) Kraus pairs of one kind: diag(gamma, 1), and omega in K1
-    at |-><+| for amplitude, at |+><+| for phase."""
-    factors = np.array([dephasing_factors(rate, t) for t in times]).reshape(-1, 2)
-    ops = np.zeros((len(times), 2, 2, 2), dtype=np.complex128)
-    ops[:, 0, 0, 0], ops[:, 0, 1, 1] = factors[:, 0], 1.0
-    ops[:, 1, 1 if kind == "amplitude" else 0, 0] = factors[:, 1]
+    """(n_t, 2, 2, 2) Kraus pairs of one kind at checked float times: diag(gamma, 1)
+    with gamma = exp(-rate t / 2), and omega = sqrt(1 - gamma^2) in K1 at |-><+|
+    for amplitude, at |+><+| for phase."""
+    check_rates(rate=rate)
+    gamma = np.array([math.exp(-0.5 * rate * t) for t in times])
+    ops = np.zeros((len(gamma), 2, 2, 2), dtype=np.complex128)
+    ops[:, 0, 0, 0], ops[:, 0, 1, 1] = gamma, 1.0
+    ops[:, 1, 1 if kind == "amplitude" else 0, 0] = np.sqrt(np.maximum(0.0, 1.0 - gamma * gamma))
     return ops
 
 
@@ -156,7 +165,7 @@ def dephasing_channel(rate: float, t: float) -> KrausChannel:
     Applying the same channel twice gives the coherence factor gamma^2 =
     exp(-rate*t).
     """
-    return KrausChannel(2, tuple(_kind_stack("phase", rate, [t])[0]))
+    return KrausChannel(2, tuple(_kind_stack("phase", rate, check_times([t]).tolist())[0]))
 
 
 def amplitude_channel(rate: float, t: float) -> KrausChannel:
@@ -165,7 +174,7 @@ def amplitude_channel(rate: float, t: float) -> KrausChannel:
     Populations map as p+ -> gamma^2 p+, p- -> p- + omega^2 p+; the
     coherence is multiplied by gamma.
     """
-    return KrausChannel(2, tuple(_kind_stack("amplitude", rate, [t])[0]))
+    return KrausChannel(2, tuple(_kind_stack("amplitude", rate, check_times([t]).tolist())[0]))
 
 
 def _lift_stack(ops_a: np.ndarray, ops_b: np.ndarray) -> np.ndarray:
@@ -230,18 +239,14 @@ def _noise_stack(rates: dict, times: Sequence[float]) -> np.ndarray:
 
 def noise_channel(specs: Iterable[NoiseSpec], t: float) -> KrausChannel:
     """Two-qubit channel for a noise set at elapsed time t: at most 16 Kraus ops."""
-    check_time(t)
-    return KrausChannel(4, tuple(_noise_stack(fold_rates(specs), [t])[0]))
+    return KrausChannel(4, tuple(_noise_stack(fold_rates(specs), check_times([t]).tolist())[0]))
 
 
-def _checked_grid(rho0: DensityMatrix, times: Sequence[float]) -> list[float]:
-    """The grid as floats, each time checked, for evolving a two-qubit rho0."""
+def _checked_grid(rho0: DensityMatrix, times: Sequence[float]) -> np.ndarray:
+    """The checked time grid, for evolving a two-qubit rho0."""
     if rho0.dim != 4:
         raise ValueError(f"dimension mismatch: channel 4, state {rho0.dim}")
-    times = [float(t) for t in times]
-    for t in times:
-        check_time(t)
-    return times
+    return check_times(times)
 
 
 def evolve_states(
@@ -254,9 +259,9 @@ def evolve_states(
     applied in the same order by stacked matmuls, in one pass.
     """
     times = _checked_grid(rho0, times)
-    if not times:  # the stacked checks take a max over at least one time
+    if not len(times):  # the stacked checks take a max over at least one time
         return np.empty((0, 4, 4), dtype=np.complex128)
-    return check_densities(_kraus_sum(_noise_stack(fold_rates(specs), times), rho0.mat))
+    return check_densities(_kraus_sum(_noise_stack(fold_rates(specs), times.tolist()), rho0.mat))
 
 
 def _transfer_stack(rates: dict, times: np.ndarray, target: str) -> np.ndarray:
@@ -265,9 +270,8 @@ def _transfer_stack(rates: dict, times: np.ndarray, target: str) -> np.ndarray:
     the ground one, the coherence as exp(-amp t / 2) exp(-phase t / 2)."""
     amp = rates.get((target, "amplitude"), 0.0)
     phase = rates.get((target, "phase"), 0.0)
-    # a finite rate times a finite time overflows at most to inf, whose
-    # exponentials are the exact limits 0 and -1; the coherence factor is a
-    # product, so inf * 0 from a summed rate at t = 0 never arises
+    # folded rates and checked times are finite, so their product overflows at
+    # most to inf, whose exponentials are the exact limits 0 and -1
     with np.errstate(over="ignore"):
         decay, gain = np.exp(-amp * times), -np.expm1(-amp * times)
         coherence = np.exp(-0.5 * amp * times) * np.exp(-0.5 * phase * times)
@@ -289,7 +293,7 @@ def transfer_states(
     matmuls apply the maps, qubit A's on the left of rho0 regrouped as
     (iA jA, iB jB), qubit B's on the right.
     """
-    times = np.array(_checked_grid(rho0, times))
+    times = _checked_grid(rho0, times)
     if not len(times):
         return np.empty((0, 4, 4), dtype=np.complex128)
     rates = fold_rates(specs)
@@ -369,11 +373,14 @@ def _rk4_runs(
     """``integrate_path`` of each noise set in ``spec_sets`` as (n_runs, n_t, d, d)
     states: the runs step in lockstep, one stacked matmul per step, and each
     run's states are bit for bit those of stepping it alone."""
-    times = [float(t) for t in times]
-    if any(b <= a for a, b in zip(times, times[1:])) or (times and times[0] < 0):
-        raise ValueError("times must be ascending and nonnegative")
+    times = check_times(times)
+    if np.any(np.diff(times) <= 0):
+        raise ValueError("times must be ascending")
+    times = times.tolist()
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be finite and > 0, got {dt}")
+    for specs in spec_sets:  # the generator adds up the rates of each set
+        fold_rates(specs)
     dim, runs = rho0.dim, len(spec_sets)
     sups = np.array([_superoperator(specs, dim) for specs in spec_sets])
     vecs = rho0.mat.reshape(1, dim * dim, 1)  # one column, broadcast over the runs

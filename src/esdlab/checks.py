@@ -19,6 +19,7 @@ from .channels import (
     _kind_stack,
     _kraus_sum,
     _rk4_runs,
+    check_times,
     evolve_states,
 )
 from .closedform import (
@@ -63,7 +64,7 @@ def _result(name, worst, tol) -> CheckResult:
 def _additivity_runs(pairs, times, dt=DEFAULT_DT) -> list[dict]:
     """``additivity_series`` of each (gamma1, gamma2) pair, the RK4 runs in lockstep."""
     plus_x = validate_density(np.full((2, 2), 0.5, dtype=np.complex128))
-    times = [float(t) for t in times]
+    times = check_times(times).tolist()
     kraus = []
     for gamma1, gamma2 in pairs:
         phase = _kind_stack("phase", gamma2, times)

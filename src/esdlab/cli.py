@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .channels import DEFAULT_DT, NoiseSpec
+from .channels import DEFAULT_DT, NoiseSpec, fold_rates
 from .checks import additivity_series, run_validation
 from .concurrence import (
     DecayKind,
@@ -69,6 +69,10 @@ class RunConfig:
         if self.state is not None and self.lam is not None:
             raise ConfigError("give either a state or a lambda value, not both")
         object.__setattr__(self, "noises", tuple(self.noises))
+        try:
+            fold_rates(self.noises)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def initial_state(self) -> XState:
         if self.state is not None:
@@ -173,9 +177,22 @@ def _table(args, header: list[str], rows: list[list[str]]):
         _emit(args, "\n".join(lines) + "\n")
 
 
+def _grid(stop: float, num: int, flags: str) -> np.ndarray:
+    """num ascending points from 0 to stop, or a ConfigError naming ``flags``."""
+    try:
+        # the scaling may overflow at the last point, which is then set to stop
+        with np.errstate(over="ignore"):
+            grid = np.linspace(0.0, stop, num)
+    except (ValueError, IndexError, MemoryError) as exc:  # numpy's refusals of a huge num
+        raise ConfigError(f"{flags}: {num} points do not fit in one array") from exc
+    if np.any(np.diff(grid) <= 0):
+        raise ConfigError(f"{flags}: {num} points from 0 to {stop!r} do not ascend")
+    return grid
+
+
 def cmd_trace(args) -> int:
     cfg = load_config(args)
-    times = np.linspace(0.0, cfg.t_max, cfg.samples)
+    times = _grid(cfg.t_max, cfg.samples, "--t-max and --samples")
     if args.sweep_lambda:
         if args.sweep_lambda < 1:
             raise ConfigError("--sweep-lambda needs at least one value")
@@ -220,8 +237,8 @@ def cmd_diagram(args) -> int:
     if args.t_max is not None and args.t_max <= 0:
         raise ConfigError(f"--t-max must be > 0, got {args.t_max}")
     specs = [NoiseSpec(q, kind, args.rate) for kind in _PANELS[args.panel] for q in "AB"]
-    a_values = np.linspace(0.0, 1.0, args.resolution)
-    z_values = np.linspace(0.0, 0.5, args.resolution)
+    a_values = _grid(1.0, args.resolution, "--resolution")
+    z_values = _grid(0.5, args.resolution, "--resolution")
     try:
         t_max = default_t_max([args.rate]) if args.t_max is None else args.t_max
     except ValueError as exc:
@@ -246,7 +263,7 @@ def cmd_additivity(args) -> int:
     if not math.isfinite(2 * args.gamma2):
         raise ConfigError(f"--gamma2 {args.gamma2} is too large: the RK4 route "
                           "runs at the doubled phase rate 2 * gamma2, which overflows")
-    times = np.linspace(0.0, args.t_max, args.samples)
+    times = _grid(args.t_max, args.samples, "--t-max and --samples")
     try:
         series = additivity_series(args.gamma1, args.gamma2, times, dt=args.dt)
     except ValueError as exc:  # a rate or step the RK4 route cannot take

@@ -23,6 +23,7 @@ from .channels import (
     TARGETS,
     NoiseSpec,
     check_time,
+    check_times,
     evolve_states,
     fold_rates,
     transfer_states,
@@ -169,10 +170,14 @@ def _x_margins(entries, rates: list[float], times: np.ndarray) -> np.ndarray:
     """
     a, b, c, d, abs_z = entries
     amp_a, amp_b, ph_a, ph_b = rates
-    ua = 1 - np.exp(-amp_a * times)
-    ub = 1 - np.exp(-amp_b * times)
+    # a rate times a time overflows at most to inf, whose exponential 0 is the
+    # exact limit; the phase rates are halved before they add, which is exact
+    # for normal numbers and keeps a sum of two huge rates finite
+    with np.errstate(over="ignore"):
+        ua = 1 - np.exp(-amp_a * times)
+        ub = 1 - np.exp(-amp_b * times)
+        zf = np.exp(-(0.5 * ph_a + 0.5 * ph_b) * times)
     ad = a * (ua * ub * a + ua * b + ub * c + d)
-    zf = np.exp(-0.5 * (ph_a + ph_b) * times)
     return np.where(ad == 0.0, abs_z, abs_z * zf - np.sqrt(ad))
 
 
@@ -197,15 +202,6 @@ class ConcurrenceTrace:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "specs", tuple(self.specs))
-
-
-def _check_times(times: np.ndarray):
-    if times.ndim != 1 or len(times) == 0:
-        raise ValueError("need a nonempty 1d time grid")
-    if not np.all(np.isfinite(times)):
-        raise ValueError("times must be finite")
-    if times[0] < 0 or np.any(np.diff(times) <= 0):
-        raise ValueError("times must be ascending and start at t >= 0")
 
 
 def _x_entry_margins(states: np.ndarray) -> np.ndarray:
@@ -246,8 +242,9 @@ def trace_concurrence(
     for the transfer maps because they move its values by a few 1e-16.
     """
     specs = tuple(specs)
-    times = np.asarray(times, dtype=float)
-    _check_times(times)
+    times = check_times(times)
+    if not len(times) or np.any(np.diff(times) <= 0):
+        raise ValueError("need a nonempty ascending time grid")
     margins = _evolved_margins(initial, specs, times)
     values = np.where(margins > 0.0, margins, 0.0)
     return ConcurrenceTrace(times=times, values=values, specs=specs, initial=initial)
@@ -390,6 +387,7 @@ def diagram_grid(
     Rows are emitted a-major, z-minor, in grid order.
     """
     specs = tuple(specs)
+    rates = _x_rates(specs)
     cells: list[DiagramCell] = []
     live: list[tuple[int, tuple]] = []  # (cell index, X-state entries)
     for a in a_values:
@@ -406,7 +404,7 @@ def diagram_grid(
         return cells
     horizon = default_t_max(s.rate for s in specs) if t_max is None else t_max
     _check_horizon(horizon)
-    entries, rates = np.array([x for _, x in live]).T, _x_rates(specs)
+    entries = np.array([x for _, x in live]).T
     grid = np.linspace(0.0, horizon, SCAN_POINTS + 1)
     blocks = (
         _x_margins(entries[:, lo:lo + SCAN_BLOCK, None], rates, grid)

@@ -115,6 +115,9 @@ def check_densities(m, tol: Optional[float] = None) -> np.ndarray:
 
     ``validate_density`` is the one-matrix case; on a stack, each property is
     checked over all matrices in turn and the error reports the worst one.
+    ``tol``, when given, replaces both TRACE_TOL and POSITIVITY_TOL (the bounds
+    on the trace defect and on how far below zero the smallest eigenvalue may
+    sit); only the RK4 integrator loosens them.
     """
     trace_tol = TRACE_TOL if tol is None else tol
     positivity_tol = POSITIVITY_TOL if tol is None else tol
@@ -138,15 +141,13 @@ def check_densities(m, tol: Optional[float] = None) -> np.ndarray:
     return a
 
 
-def validate_density(m, tol: Optional[float] = None) -> DensityMatrix:
+def validate_density(m) -> DensityMatrix:
     """Validate a matrix as a density operator and wrap it.
 
     Raises HermiticityError, TraceError or PositivityError, naming the
-    violated property.  ``tol``, when given, replaces both TRACE_TOL and
-    POSITIVITY_TOL (the bounds on the trace defect and on how far below zero
-    the smallest eigenvalue may sit); only the RK4 integrator loosens them.
+    violated property.
     """
-    a = check_densities(as_matrix(m), tol).copy()
+    a = check_densities(as_matrix(m)).copy()
     a.setflags(write=False)
     return DensityMatrix(n_qubits=1 if a.shape[0] == 2 else 2, mat=a)
 

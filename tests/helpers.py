@@ -1,4 +1,7 @@
-"""Shared random-state generators and a partial trace for the test suite."""
+"""Shared random-state generators, the Kraus damping pair and a partial trace
+for the test suite."""
+
+import math
 
 import numpy as np
 
@@ -25,6 +28,13 @@ def random_x_state(rng):
     radius = rng.uniform(0.0, np.sqrt(b * c))
     phase = rng.uniform(0.0, 2 * np.pi)
     return XState(a, b, c, d, radius * np.exp(1j * phase))
+
+
+def damping(rate, t):
+    """Damping pair (gamma, omega) of the channels at rate and time t:
+    gamma = exp(-rate t / 2) and gamma^2 + omega^2 = 1."""
+    gamma = math.exp(-0.5 * rate * t)
+    return gamma, math.sqrt(max(0.0, 1.0 - gamma * gamma))
 
 
 def partial_trace(m, keep):

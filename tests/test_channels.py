@@ -26,11 +26,10 @@ from esdlab.channels import (
     _completeness_defect,
     _lift_stack,
     _qubit_stack,
-    dephasing_factors,
     fold_rates,
 )
 
-from helpers import partial_trace, random_density, random_x_state
+from helpers import damping, partial_trace, random_density, random_x_state
 
 PLUS_X = validate_density(np.full((2, 2), 0.5, dtype=complex))
 IDENTITY = KrausChannel(2, (np.eye(2),))
@@ -54,15 +53,21 @@ def test_noise_spec_validation():
 
 
 def test_dephasing_factors():
-    assert dephasing_factors(1.0, 0.0) == (1.0, 0.0)
-    g, w = dephasing_factors(1.0, 200.0)
-    assert g < 1e-40 and abs(w - 1.0) < 1e-15
-    g, w = dephasing_factors(1.0, 2 * math.log(2))
-    assert abs(g - 0.5) < 1e-15
-    assert abs(w - math.sqrt(3) / 2) < 1e-15
-    for bad_t in (-0.1, math.inf, math.nan):
-        with pytest.raises(ValueError, match="time must be finite and >= 0"):
-            dephasing_factors(0.0, bad_t)
+    """The damping pair (gamma, omega) as both channel kinds carry it."""
+    for build in (dephasing_channel, amplitude_channel):
+        def pair(rate, t):
+            k0, k1 = build(rate, t).ops
+            return k0[0, 0].real, np.abs(k1).max()
+
+        assert pair(1.0, 0.0) == (1.0, 0.0)
+        g, w = pair(1.0, 200.0)
+        assert g < 1e-40 and abs(w - 1.0) < 1e-15
+        g, w = pair(1.0, 2 * math.log(2))
+        assert abs(g - 0.5) < 1e-15
+        assert abs(w - math.sqrt(3) / 2) < 1e-15
+        for bad_t in (-0.1, math.inf, math.nan):
+            with pytest.raises(ValueError, match="time must be finite and >= 0"):
+                build(0.0, bad_t)
 
 
 @pytest.mark.parametrize("build", [dephasing_channel, amplitude_channel])
@@ -100,7 +105,7 @@ def test_dephasing_twice_gives_full_rate_factor():
 
 def test_amplitude_action():
     rho = validate_density(np.array([[0.7, 0.3j], [-0.3j, 0.3]]))
-    g1, w1 = dephasing_factors(1.3, 0.6)
+    g1, w1 = damping(1.3, 0.6)
     out = apply_channel(amplitude_channel(1.3, 0.6), rho)
     assert abs(out.mat[0, 0] - 0.7 * g1 * g1) < 1e-15
     assert abs(out.mat[1, 1] - (0.3 + 0.7 * w1 * w1)) < 1e-15
@@ -120,7 +125,7 @@ def test_amplitude_lift_reproduces_population_laws():
 def test_lift_structure_and_identity():
     assert np.array_equal(_lift_stack(_stack(IDENTITY), _stack(IDENTITY))[0, 0], np.eye(4))
     assert np.array_equal(noise_channel((), 0.5).ops, [np.eye(4)])
-    g, _ = dephasing_factors(1.0, 1.0)
+    g, _ = damping(1.0, 1.0)
     pair = _stack(dephasing_channel(1.0, 1.0))
     lifted = _lift_stack(pair, pair)[0]
     assert len(lifted) == 4
@@ -160,8 +165,8 @@ def test_apply_preserves_trace_and_positivity(rng):
 
 def test_dephasing_lift_on_x_state():
     x = lambda_state(4.0)
-    ga, _ = dephasing_factors(1.0, 0.9)
-    gb, _ = dephasing_factors(2.0, 0.9)
+    ga, _ = damping(1.0, 0.9)
+    gb, _ = damping(2.0, 0.9)
     specs = (NoiseSpec("A", "phase", 1.0), NoiseSpec("B", "phase", 2.0))
     out = apply_channel(noise_channel(specs, 0.9), x.to_density())
     diag = np.diagonal(out.mat).real
@@ -198,7 +203,7 @@ def test_completeness_defect_values():
     assert _completeness_defect(np.eye(4)[None, None]) == 0.0
     full = dephasing_channel(1.0, 1.0)
     assert _completeness_defect(_stack(full)) <= 1e-15
-    _, w = dephasing_factors(1.0, 1.0)
+    _, w = damping(1.0, 1.0)
     assert abs(_completeness_defect(_stack(full)[:, :1]) - w * w) < 1e-15
     # the worst time of a stack counts: sum K^dag K is 1, then 1/4
     two_times = np.array([[np.eye(2), np.zeros((2, 2))], [0.5 * np.eye(2), np.zeros((2, 2))]])

@@ -167,9 +167,9 @@ def test_trace_concurrence_rejects_non_finite_times():
     amp = symmetric("amplitude", 1.0)
     for bad in (math.nan, math.inf):
         for specs in ((), amp):
-            with pytest.raises(ValueError, match="times must be finite"):
+            with pytest.raises(ValueError, match="time must be finite"):
                 trace_concurrence(lambda_state(4.0), specs, [0.0, bad])
-            with pytest.raises(ValueError, match="times must be finite"):
+            with pytest.raises(ValueError, match="time must be finite"):
                 trace_concurrence(lambda_state(4.0).to_density(), specs, [bad, 1.0])
 
 

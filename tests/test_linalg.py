@@ -12,6 +12,7 @@ from esdlab import (
     validate_density,
 )
 from esdlab.concurrence import lambda_state, spin_flipped
+from esdlab.linalg import check_densities
 
 from helpers import partial_trace, random_density, random_unitary
 
@@ -95,17 +96,17 @@ def test_validate_density_accepts():
     validate_density(lambda_state(4.0).to_density().mat)
 
 
-def test_validate_density_tol_loosens_trace_and_positivity():
+def test_check_densities_tol_loosens_trace_and_positivity():
     drifted = np.diag([0.5, 0.5 + 5e-12, 0.0, 0.0])
     with pytest.raises(TraceError):
         validate_density(drifted)
-    assert validate_density(drifted, tol=1e-8).mat[1, 1] == drifted[1, 1]
+    assert check_densities(drifted, tol=1e-8)[1, 1] == drifted[1, 1]
     dipped = np.diag([0.5, 0.5 + 5e-9, -5e-9, 0.0])
     with pytest.raises(PositivityError):
         validate_density(dipped)
-    validate_density(dipped, tol=1e-8)
+    check_densities(dipped, tol=1e-8)
     with pytest.raises(TraceError):
-        validate_density(np.diag([0.5, 0.5 + 2e-8, 0.0, 0.0]), tol=1e-8)
+        check_densities(np.diag([0.5, 0.5 + 2e-8, 0.0, 0.0]), tol=1e-8)
 
 
 def test_validate_density_named_failures():

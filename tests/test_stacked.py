@@ -28,11 +28,11 @@ from esdlab import (
     trace_concurrence,
     validate_density,
 )
-from esdlab.channels import dephasing_factors, evolve_states
+from esdlab.channels import evolve_states
 from esdlab.concurrence import BLOCK_TIMES, spin_flipped
 from esdlab.linalg import check_densities
 
-from helpers import random_density, random_x_state
+from helpers import damping, random_density, random_x_state
 
 NOISE_SETS = {
     "none": (),
@@ -61,7 +61,7 @@ def _kraus_loop(specs, t):
         ops = [np.eye(2, dtype=complex)]
         for kind in ("amplitude", "phase"):
             if kind in rates:
-                gamma, omega = dephasing_factors(rates[kind], t)
+                gamma, omega = damping(rates[kind], t)
                 k1 = [[0, 0], [omega, 0]] if kind == "amplitude" else [[omega, 0], [0, 0]]
                 then = (np.array([[gamma, 0], [0, 1]], dtype=complex),
                         np.array(k1, dtype=complex))
