@@ -19,17 +19,7 @@ from .linalg import (
     product_spectrum,
     validate_density,
 )
-from .channels import (
-    KrausChannel,
-    NoiseSpec,
-    amplitude_channel,
-    apply_channel,
-    compose,
-    dephasing_channel,
-    integrate_path,
-    lindblad_rhs,
-    noise_channel,
-)
+from .channels import NoiseSpec, integrate_path, lindblad_rhs
 from .concurrence import (
     ConcurrenceTrace,
     DecayClass,
@@ -66,7 +56,6 @@ __all__ = [
     "DensityMatrix",
     "DiagramCell",
     "HermiticityError",
-    "KrausChannel",
     "NoiseSpec",
     "NumericalFailureError",
     "PositivityError",
@@ -74,18 +63,14 @@ __all__ = [
     "TraceError",
     "ValidationError",
     "XState",
-    "amplitude_channel",
     "amplitude_concurrence",
     "amplitude_elements",
-    "apply_channel",
     "classify",
     "coherence_factor",
     "combined_concurrence",
     "combined_death_time",
-    "compose",
     "concurrence",
     "concurrence_x",
-    "dephasing_channel",
     "diagram_grid",
     "esd_time",
     "evolve_x",
@@ -93,7 +78,6 @@ __all__ = [
     "kron",
     "lambda_state",
     "lindblad_rhs",
-    "noise_channel",
     "phase_concurrence",
     "product_spectrum",
     "run_validation",

@@ -2,14 +2,15 @@
 
 Conventions
 -----------
-A channel is built for a rate G and an elapsed time t.  Both channel kinds
-share the damping factor
+A channel is built for a rate G and an elapsed time t.  ``_kind_stack``
+builds the Kraus pair {diag(gamma, 1), K1} of either kind on a whole time
+grid; both kinds share the damping factor
 
     gamma(G, t) = exp(-G * t / 2),      omega = sqrt(1 - gamma**2).
 
-* ``amplitude_channel``: energy relaxation |+> -> |->.  Excited population
-  decays as gamma**2 = exp(-G*t), single-qubit coherence as gamma.
-* ``dephasing_channel``: pure dephasing.  Populations are untouched, the
+* amplitude, K1 = omega |-><+|: energy relaxation |+> -> |->.  Excited
+  population decays as gamma**2 = exp(-G*t), single-qubit coherence as gamma.
+* phase, K1 = omega |+><+|: pure dephasing.  Populations are untouched, the
   single-qubit coherence decays as gamma = exp(-G*t/2) per application.
 
 Rates are therefore "half rates" on coherence for the dephasing kind: the
@@ -113,12 +114,12 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """A finite set of Kraus matrices of one dimension.
+    """A finite set of Kraus matrices of one dimension, at one time.
 
-    Channels produced by the constructors of this module satisfy
-    sum(K^dag K) = 1 to within COMPLETENESS_TOL; ``apply_channel`` enforces
-    that before using a channel.  The container itself only checks shapes,
-    so that ``_completeness_defect`` can be measured on broken channels.
+    ``noise_channel`` fills it from the stacked builder, complete to within
+    COMPLETENESS_TOL; ``apply_channel`` enforces that before using a channel.
+    The container itself only checks shapes, so that a broken channel can be
+    built and refused.  Goes once the benchmark tracer stops reading ``.ops``.
     """
 
     dim: int
@@ -158,25 +159,6 @@ def _kind_stack(kind: str, rate: float, times: Sequence[float]) -> np.ndarray:
     return ops
 
 
-def dephasing_channel(rate: float, t: float) -> KrausChannel:
-    """Pure dephasing: {diag(gamma, 1), diag(omega, 0)}.
-
-    Populations are fixed, the off-diagonal element is multiplied by gamma.
-    Applying the same channel twice gives the coherence factor gamma^2 =
-    exp(-rate*t).
-    """
-    return KrausChannel(2, tuple(_kind_stack("phase", rate, check_times([t]).tolist())[0]))
-
-
-def amplitude_channel(rate: float, t: float) -> KrausChannel:
-    """Energy relaxation: {diag(gamma, 1), omega |-><+|}.
-
-    Populations map as p+ -> gamma^2 p+, p- -> p- + omega^2 p+; the
-    coherence is multiplied by gamma.
-    """
-    return KrausChannel(2, tuple(_kind_stack("amplitude", rate, check_times([t]).tolist())[0]))
-
-
 def _lift_stack(ops_a: np.ndarray, ops_b: np.ndarray) -> np.ndarray:
     """(n_t, n_a n_b, 4, 4) stack {K_i (x) L_j}, op i * n_b + j, in kron's layout."""
     prod = ops_a[:, :, None, :, None, :, None] * ops_b[:, None, :, None, :, None, :]
@@ -184,16 +166,9 @@ def _lift_stack(ops_a: np.ndarray, ops_b: np.ndarray) -> np.ndarray:
 
 
 def _compose_stack(first: np.ndarray, then: np.ndarray) -> np.ndarray:
-    """Stacked ``compose`` of (n_t, n_ops, d, d) stacks: op i * n_then + j is L_j K_i."""
+    """Channel applying ``first`` and then ``then``, per time of (n_t, n_ops, d, d)
+    stacks: op i * n_then + j is L_j K_i."""
     return (then[:, None] @ first[:, :, None]).reshape(len(first), -1, *first.shape[2:])
-
-
-def compose(first: KrausChannel, then: KrausChannel) -> KrausChannel:
-    """Channel applying ``first`` and then ``then``: Kraus set {L_j K_i}."""
-    if first.dim != then.dim:
-        raise ValueError(f"dimension mismatch: {first.dim} vs {then.dim}")
-    ops = _compose_stack(np.array(first.ops)[None], np.array(then.ops)[None])
-    return KrausChannel(first.dim, tuple(ops[0]))
 
 
 def _completeness_defect(ops: np.ndarray) -> float:
@@ -215,7 +190,9 @@ def _kraus_sum(ops: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 
 def apply_channel(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
-    """Apply a complete channel: rho -> sum K rho K^dag, revalidated."""
+    """Apply a complete channel: rho -> sum K rho K^dag, revalidated.
+
+    Goes once the benchmark tracer stops binding it; ``evolve_states`` is the oracle."""
     if ch.dim != rho.dim:
         raise ValueError(f"dimension mismatch: channel {ch.dim}, state {rho.dim}")
     return validate_density(_kraus_sum(np.array(ch.ops)[None], rho.mat)[0])
@@ -238,7 +215,9 @@ def _noise_stack(rates: dict, times: Sequence[float]) -> np.ndarray:
 
 
 def noise_channel(specs: Iterable[NoiseSpec], t: float) -> KrausChannel:
-    """Two-qubit channel for a noise set at elapsed time t: at most 16 Kraus ops."""
+    """Two-qubit channel for a noise set at elapsed time t: at most 16 Kraus ops.
+
+    Goes once the benchmark tracer stops binding it; ``evolve_states`` is the oracle."""
     return KrausChannel(4, tuple(_noise_stack(fold_rates(specs), check_times([t]).tolist())[0]))
 
 
@@ -254,9 +233,9 @@ def evolve_states(
 ) -> np.ndarray:
     """States of a two-qubit rho0 under a noise set at each grid time, (n_t, 4, 4).
 
-    Equal, bit for bit, to stacking apply_channel(noise_channel(specs, t),
-    rho0).mat over the grid, with the same checks: the same Kraus matrices,
-    applied in the same order by stacked matmuls, in one pass.
+    The Kraus oracle: the folded Kraus sets of the whole grid from the one
+    stacked builder, applied by stacked matmuls in one pass.  Equal, bit for
+    bit, to applying each time's set alone, one 4x4 product at a time.
     """
     times = _checked_grid(rho0, times)
     if not len(times):  # the stacked checks take a max over at least one time
@@ -319,9 +298,9 @@ def lindblad_rhs(rho, specs: Iterable[NoiseSpec]) -> np.ndarray:
     * amplitude, rate G:  (G/2) (2 s- rho s+  -  s+ s- rho  -  rho s+ s-)
     * phase, rate G:      (G/4) (sz rho sz - rho)
 
-    The phase coefficient G/4 makes this the exact generator of
-    ``dephasing_channel(G, t)`` (coherence factor exp(-G*t/2)); see the
-    module docstring for the relation to the exp(-G*t) convention.
+    The phase coefficient G/4 makes this the exact generator of the phase
+    Kraus pair at rate G (coherence factor exp(-G*t/2)); see the module
+    docstring for the relation to the exp(-G*t) convention.
     """
     mat = rho.mat if isinstance(rho, DensityMatrix) else as_matrix(rho)
     n_qubits = 1 if mat.shape[0] == 2 else 2

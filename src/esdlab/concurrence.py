@@ -356,6 +356,7 @@ def classify(
     if x.d != 0.0:
         raise ValueError("classification is defined on the d = 0 slice")
     specs = tuple(specs)
+    fold_rates(specs)  # an overflowing summed rate raises here too, as on every route
     if concurrence_x(x) == 0.0:
         return DecayClass(DecayKind.SEPARABLE_AT_START)
     horizon = default_t_max(s.rate for s in specs) if t_max is None else t_max

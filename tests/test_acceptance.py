@@ -14,25 +14,21 @@ import pytest
 from esdlab import (
     DecayKind,
     NoiseSpec,
-    amplitude_channel,
     amplitude_concurrence,
     amplitude_elements,
-    apply_channel,
     concurrence,
     concurrence_x,
-    dephasing_channel,
     diagram_grid,
     esd_time,
     lambda_state,
-    noise_channel,
     phase_concurrence,
     trace_concurrence,
     validate_density,
 )
-from esdlab.channels import _completeness_defect
+from esdlab.channels import _completeness_defect, _kind_stack, evolve_states
 from esdlab.checks import (
     EQUIVALENCE_PLACEMENTS,
-    additivity_series,
+    _additivity_runs,
     check_kraus_lindblad,
 )
 
@@ -55,12 +51,10 @@ def _symmetric(kind, rate=1.0):
 def test_criterion_01_single_qubit_additivity():
     start = time.perf_counter()
     times = np.linspace(0.0, 5.0, 20)
-    worst_kraus = worst_lind = 0.0
-    for g1 in (0.1, 1.0, 3.0):
-        for g2 in (0.1, 1.0, 3.0):
-            series = additivity_series(g1, g2, times)
-            worst_kraus = max(worst_kraus, series["max_dev_kraus"])
-            worst_lind = max(worst_lind, series["max_dev_lindblad"])
+    pairs = [(g1, g2) for g1 in (0.1, 1.0, 3.0) for g2 in (0.1, 1.0, 3.0)]
+    suite = _additivity_runs(pairs, times)  # the nine RK4 runs step in lockstep
+    worst_kraus = max(series["max_dev_kraus"] for series in suite)
+    worst_lind = max(series["max_dev_lindblad"] for series in suite)
     elapsed = time.perf_counter() - start
     ok = worst_kraus <= 1e-10 and worst_lind <= 1e-6 and elapsed < 5.0
     _report(1, ok,
@@ -86,9 +80,8 @@ def test_criterion_03_amplitude_noise_elements():
     times = np.linspace(0.0, 5.0, 50)
     worst = 0.0
     for lam in (1.0, 2.0, 3.0, 4.0):
-        rho0 = lambda_state(lam).to_density()
-        for t in times:
-            mat = apply_channel(noise_channel(_symmetric("amplitude"), t), rho0).mat
+        states = evolve_states(lambda_state(lam).to_density(), _symmetric("amplitude"), times)
+        for t, mat in zip(times, states):
             z, a, d = amplitude_elements(lam, 1.0, t)
             worst = max(worst, abs(mat[1, 2].real - z), abs(mat[0, 0].real - a),
                         abs(mat[3, 3].real - d))
@@ -198,12 +191,10 @@ def test_criterion_09_asymmetric_placements():
     err_b = abs(t_b - T_STAR_CROSS_PLACED)
 
     times = np.linspace(0.2, 2.0, 10)
+    states = evolve_states(rho0, cross, times)
     worst_resid = 0.0
     for keep in ("A", "B"):
-        coh = []
-        for t in times:
-            out = apply_channel(noise_channel(cross, float(t)), rho0)
-            coh.append(abs(partial_trace(out.mat, keep)[0, 1]))
+        coh = [abs(partial_trace(m, keep)[0, 1]) for m in states]
         fit = np.polyfit(times, np.log(coh), 1)
         worst_resid = max(worst_resid,
                           float(np.abs(np.polyval(fit, times) - np.log(coh)).max()))
@@ -217,11 +208,10 @@ def test_criterion_09_asymmetric_placements():
 def test_criterion_10_property_suites(rng):
     # channel completeness on a log time grid
     worst_defect = 0.0
-    for build in (dephasing_channel, amplitude_channel):
+    for kind in ("phase", "amplitude"):
         for rate in (0.1, 1.0, 3.0):
-            grid = [0.0] + list(np.logspace(-3, np.log10(20.0 / rate), 30))
-            ops = np.array([build(rate, float(t)).ops for t in grid])
-            worst_defect = max(worst_defect, _completeness_defect(ops))
+            grid = [0.0] + np.logspace(-3, np.log10(20.0 / rate), 30).tolist()
+            worst_defect = max(worst_defect, _completeness_defect(_kind_stack(kind, rate, grid)))
 
     # trace and positivity preservation on 1000 random states
     worst_trace = worst_eig = 0.0
@@ -231,10 +221,10 @@ def test_criterion_10_property_suites(rng):
             for target in "AB" for kind in ("amplitude", "phase")
             if rng.random() < 0.7
         )
-        out = apply_channel(noise_channel(specs, rng.uniform(0.0, 3.0)),
-                            random_density(rng, 4))
-        worst_trace = max(worst_trace, abs(out.mat.trace().real - 1.0))
-        worst_eig = max(worst_eig, -float(np.linalg.eigvalsh(out.mat)[0]))
+        t = rng.uniform(0.0, 3.0)
+        out = evolve_states(random_density(rng, 4), specs, [t])[0]
+        worst_trace = max(worst_trace, abs(out.trace().real - 1.0))
+        worst_eig = max(worst_eig, -float(np.linalg.eigvalsh(out)[0]))
 
     # general vs closed-form concurrence on 1000 random X states
     worst_x = 0.0

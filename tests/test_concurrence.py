@@ -11,7 +11,6 @@ from esdlab import (
     SeparableStateError,
     XState,
     amplitude_concurrence,
-    apply_channel,
     classify,
     combined_concurrence,
     concurrence,
@@ -21,10 +20,10 @@ from esdlab import (
     evolve_x,
     kron,
     lambda_state,
-    noise_channel,
     trace_concurrence,
     validate_density,
 )
+from esdlab.channels import evolve_states
 
 from helpers import partial_trace, random_density, random_unitary, random_x_state
 
@@ -112,7 +111,7 @@ def test_evolve_x_matches_channel_path(rng):
         specs = _random_local_noise(rng)
         t = rng.uniform(0, 3)
         fast = evolve_x(x, specs, t)
-        mat = apply_channel(noise_channel(specs, t), x.to_density()).mat
+        mat = evolve_states(x.to_density(), specs, [t])[0]
         assert abs(fast.a - mat[0, 0].real) < 1e-14
         assert abs(fast.b - mat[1, 1].real) < 1e-14
         assert abs(fast.c - mat[2, 2].real) < 1e-14
@@ -323,10 +322,9 @@ def test_cross_placement_kills_pair_but_marginals_relax():
     specs = (NoiseSpec("A", "phase", 1.0), NoiseSpec("B", "amplitude", 1.0))
     t_star = esd_time(rho0, specs, 10.0)
     assert t_star is not None and 0 < t_star < 1.0
-    for t in (0.5, 1.5):
-        out = apply_channel(noise_channel(specs, t), rho0)
-        coh_a = partial_trace(out.mat, "A")[0, 1]
-        coh_b = partial_trace(out.mat, "B")[0, 1]
+    for t, out in zip((0.5, 1.5), evolve_states(rho0, specs, [0.5, 1.5])):
+        coh_a = partial_trace(out, "A")[0, 1]
+        coh_b = partial_trace(out, "B")[0, 1]
         start_a = partial_trace(rho0.mat, "A")[0, 1]
         start_b = partial_trace(rho0.mat, "B")[0, 1]
         assert abs(coh_a - start_a * math.exp(-0.5 * t)) < 1e-14

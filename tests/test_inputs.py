@@ -15,15 +15,15 @@ import pytest
 
 from esdlab import (
     NoiseSpec,
+    XState,
     classify,
     diagram_grid,
     esd_time,
     integrate_path,
     lambda_state,
-    noise_channel,
     trace_concurrence,
 )
-from esdlab.channels import check_times, evolve_states, transfer_states
+from esdlab.channels import check_times, evolve_states, noise_channel, transfer_states
 from esdlab.cli import main
 from esdlab.checks import equivalence_state
 
@@ -53,11 +53,12 @@ def test_check_times_names_the_first_bad_time():
     lambda: esd_time(lambda_state(4.0), OVERFLOWING, 5.0),
     lambda: esd_time(equivalence_state(), OVERFLOWING, 5.0),
     lambda: classify(lambda_state(4.0), OVERFLOWING),
+    lambda: classify(XState(0.5, 0.25, 0.25, 0.0, 0.0), OVERFLOWING),  # separable at start
     lambda: diagram_grid([0.2], [0.3], OVERFLOWING, 5.0),
     lambda: diagram_grid([2.0], [0.3], OVERFLOWING, 5.0),  # an all-INVALID lattice too
 ], ids=["evolve_states", "transfer_states", "noise_channel", "integrate_path", "trace_x",
-        "trace_general", "esd_time_x", "esd_time_general", "classify", "diagram_grid",
-        "diagram_grid_invalid"])
+        "trace_general", "esd_time_x", "esd_time_general", "classify", "classify_separable",
+        "diagram_grid", "diagram_grid_invalid"])
 def test_overflowing_summed_rate_raises_one_value_error(route):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

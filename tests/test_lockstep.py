@@ -11,16 +11,18 @@ import pytest
 
 from esdlab import (
     NoiseSpec,
-    amplitude_channel,
-    apply_channel,
-    compose,
-    dephasing_channel,
     integrate_path,
     lindblad_rhs,
     validate_density,
 )
 from esdlab import channels, checks
-from esdlab.channels import MAX_RK4_STEPS, NumericalFailureError
+from esdlab.channels import (
+    MAX_RK4_STEPS,
+    NumericalFailureError,
+    _compose_stack,
+    _kind_stack,
+    _kraus_sum,
+)
 from esdlab.checks import additivity_series, check_kraus_lindblad
 
 from helpers import random_density
@@ -125,9 +127,9 @@ def test_additivity_routes_match_per_time_computations():
     gamma1, gamma2, times, dt = 1.0, 0.5, [0.0, 0.3, 1.0], 1e-3
     series = additivity_series(gamma1, gamma2, times, dt=dt)
     for t, value in zip(times, series["kraus"]):
-        ch = compose(compose(amplitude_channel(gamma1, t), dephasing_channel(gamma2, t)),
-                     dephasing_channel(gamma2, t))
-        assert value == apply_channel(ch, PLUS_X).mat[0, 1].real
+        phase = _kind_stack("phase", gamma2, [t])
+        ops = _compose_stack(_compose_stack(_kind_stack("amplitude", gamma1, [t]), phase), phase)
+        assert value == _kraus_sum(ops, PLUS_X.mat)[0, 0, 1].real
     specs = (NoiseSpec("A", "amplitude", gamma1), NoiseSpec("A", "phase", 2 * gamma2))
     ref = reference_path(PLUS_X, specs, times, dt)
     assert series["lindblad"] == [m[0, 1].real for m in ref]

@@ -11,12 +11,11 @@ from esdlab import (
     amplitude_concurrence,
     combined_concurrence,
     lambda_state,
-    noise_channel,
     phase_concurrence,
     trace_concurrence,
     validate_density,
 )
-from esdlab.channels import evolve_states, transfer_states
+from esdlab.channels import evolve_states, noise_channel, transfer_states
 from esdlab.checks import LAMBDAS, N_TIMES, RATES
 from esdlab.concurrence import concurrence_margins
 
