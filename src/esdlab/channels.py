@@ -361,7 +361,10 @@ def _rk4_runs(
     for specs in spec_sets:  # the generator adds up the rates of each set
         fold_rates(specs)
     dim, runs = rho0.dim, len(spec_sets)
-    sups = np.array([_superoperator(specs, dim) for specs in spec_sets])
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        sups = np.array([_superoperator(specs, dim) for specs in spec_sets])
+    if not np.isfinite(sups).all():
+        raise ValueError("noise rates overflow the master-equation generator")
     vecs = rho0.mat.reshape(1, dim * dim, 1)  # one column, broadcast over the runs
     spans = [t - s for s, t in zip([0.0] + times, times)]
     # capped before ceil, which cannot take the inf of a huge span / dt

@@ -38,7 +38,7 @@ def coherence_factor(rate_amp: float, rate_phase: float, t: float) -> float:
     """
     check_rates(rate_amp=rate_amp, rate_phase=rate_phase)
     check_time(t)
-    return math.exp(-(0.5 * rate_amp + rate_phase) * t)
+    return math.exp(-(0.5 * rate_amp + rate_phase) * t) if t else 1.0  # no inf * 0
 
 
 def phase_concurrence(lam: float, rate: float, t: float) -> float:

@@ -147,7 +147,7 @@ def evolve_x(x: XState, specs: Iterable[NoiseSpec], t: float) -> XState:
     check_time(t)
     amp_a, amp_b, ph_a, ph_b = _x_rates(specs)
     ga, gb = math.exp(-amp_a * t), math.exp(-amp_b * t)
-    zf = math.exp(-0.5 * (amp_a + ph_a + amp_b + ph_b) * t)
+    zf = math.exp(-0.5 * (amp_a + ph_a + amp_b + ph_b) * t) if t else 1.0  # no inf * 0
     a = ga * gb * x.a
     b = ga * ((1 - gb) * x.a + x.b)
     c = gb * ((1 - ga) * x.a + x.c)
@@ -382,38 +382,35 @@ def diagram_grid(
 ) -> list[DiagramCell]:
     """Classify the (a, |z|) lattice of d = 0 states with b = c = (1 - a)/2.
 
-    Cells outside |z| <= (1 - a)/2, or with a non-finite a or z, are INVALID.
-    The entangled cells go through one scan, SCAN_BLOCK cells at a time, and
-    one lockstep bisection, and get the bits ``classify`` gives each of them.
-    Rows are emitted a-major, z-minor, in grid order.
+    One validity mask over the lattice arrays decides every cell, with no
+    XState built: cells outside |z| <= (1 - a)/2 + XSTATE_TOL, or with a
+    non-finite a or z, are INVALID.  A valid cell is live when its clamped
+    z_in = min(z, (1 - a)/2), half its concurrence, is nonzero.  Live cells
+    go through one scan, SCAN_BLOCK at a time, and one lockstep bisection,
+    and get the bits ``classify`` gives each.  Rows are a-major, z-minor.
     """
     specs = tuple(specs)
     rates = _x_rates(specs)
-    cells: list[DiagramCell] = []
-    live: list[tuple[int, tuple]] = []  # (cell index, X-state entries)
-    for a in a_values:
-        half = 0.5 * (1.0 - a)
-        for z in z_values:
-            kind = DecayKind.INVALID
-            if 0 <= a <= 1 and 0 <= z <= half + XSTATE_TOL:
-                state = XState(float(a), half, half, 0.0, min(float(z), half))
-                kind = DecayKind.SEPARABLE_AT_START
-                if concurrence_x(state) != 0.0:  # classified below
-                    live.append((len(cells), _x_entries(state)))
-            cells.append(DiagramCell(float(a), float(z), kind))
-    if not live:
-        return cells
-    horizon = default_t_max(s.rate for s in specs) if t_max is None else t_max
-    _check_horizon(horizon)
-    entries = np.array([x for _, x in live]).T
-    grid = np.linspace(0.0, horizon, SCAN_POINTS + 1)
-    blocks = (
-        _x_margins(entries[:, lo:lo + SCAN_BLOCK, None], rates, grid)
-        for lo in range(0, len(live), SCAN_BLOCK)
-    )
-    roots = first_root(lambda rows, t: _x_margins(entries[:, rows], rates, t),
-                       grid, blocks, ESD_RESOLUTION)
-    for (i, _), t_star in zip(live, roots):
-        kind = DecayKind.EXPONENTIAL if t_star is None else DecayKind.SUDDEN_DEATH
-        cells[i] = DiagramCell(cells[i].a, cells[i].z, kind, t_star)
-    return cells
+    a_axis, z_axis = np.asarray(a_values, dtype=float), np.asarray(z_values, dtype=float)
+    a, z = np.repeat(a_axis, len(z_axis)), np.tile(z_axis, len(a_axis))
+    half = 0.5 * (1.0 - a)
+    valid = (0 <= a) & (a <= 1) & (0 <= z) & (z <= half + XSTATE_TOL)  # False at nan
+    z_in = np.minimum(z, half)
+    live = np.flatnonzero(valid & (z_in != 0.0))  # d = 0: concurrence 2 z_in
+    kinds = [DecayKind.SEPARABLE_AT_START if ok else DecayKind.INVALID for ok in valid.tolist()]
+    t_stars: list[Optional[float]] = [None] * len(kinds)
+    if len(live):
+        horizon = default_t_max(s.rate for s in specs) if t_max is None else t_max
+        _check_horizon(horizon)
+        entries = np.array([a[live], half[live], half[live], np.zeros(len(live)), z_in[live]])
+        grid = np.linspace(0.0, horizon, SCAN_POINTS + 1)
+        blocks = (
+            _x_margins(entries[:, lo:lo + SCAN_BLOCK, None], rates, grid)
+            for lo in range(0, len(live), SCAN_BLOCK)
+        )
+        roots = first_root(lambda rows, t: _x_margins(entries[:, rows], rates, t),
+                           grid, blocks, ESD_RESOLUTION)
+        for i, t_star in zip(live.tolist(), roots):
+            kinds[i] = DecayKind.EXPONENTIAL if t_star is None else DecayKind.SUDDEN_DEATH
+            t_stars[i] = t_star
+    return [DiagramCell(*cell) for cell in zip(a.tolist(), z.tolist(), kinds, t_stars)]

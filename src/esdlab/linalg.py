@@ -76,8 +76,8 @@ def product_spectrum(m) -> np.ndarray:
     ``m`` is one 4x4 matrix or a (..., 4, 4) stack, each rho @ rho_tilde for
     a valid two-qubit density matrix; that product is not Hermitian but its
     spectrum is real and nonnegative up to roundoff.  Imaginary and negative
-    parts up to 1e-9 are discarded; parts beyond 1e-6 anywhere raise
-    NumericalFailureError because they mean the input was not such a product.
+    parts up to _FAILURE_TOL (1e-6) are discarded; a part beyond it anywhere
+    raises NumericalFailureError because the input was not such a product.
     """
     m = as_stack(m, dims=(4,))
     vals = np.linalg.eigvals(m)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -23,6 +24,10 @@ def test_coherence_factor():
     assert coherence_factor(0.0, 0.0, 7.0) == 1.0
     assert abs(coherence_factor(1.0, 1.0, 1.0) - math.exp(-1.5)) < 1e-16
     assert abs(coherence_factor(2.0, 0.0, 1.0) - math.exp(-1.0)) < 1e-16
+    # 0.5 max + max overflows to inf, and inf * 0 was nan
+    big = sys.float_info.max
+    assert coherence_factor(big, big, 0.0) == coherence_factor(big, big, -0.0) == 1.0
+    assert coherence_factor(big, big, 1e-300) == 0.0
     with pytest.raises(ValueError):
         coherence_factor(1.0, 1.0, -0.5)
 

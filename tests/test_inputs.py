@@ -2,6 +2,7 @@
 enters, every bad input ends in one ValueError (library) or in one stderr
 line with a documented exit code (CLI), and no warning escapes."""
 
+import dataclasses
 import io
 import json
 import math
@@ -14,13 +15,22 @@ import numpy as np
 import pytest
 
 from esdlab import (
+    DecayKind,
+    DiagramCell,
     NoiseSpec,
     XState,
+    amplitude_concurrence,
+    amplitude_elements,
     classify,
+    coherence_factor,
+    combined_concurrence,
+    combined_death_time,
     diagram_grid,
     esd_time,
+    evolve_x,
     integrate_path,
     lambda_state,
+    phase_concurrence,
     trace_concurrence,
 )
 from esdlab.channels import check_times, evolve_states, noise_channel, transfer_states
@@ -30,6 +40,10 @@ from esdlab.checks import equivalence_state
 # two specs whose rates are finite but whose sum overflows to inf
 OVERFLOWING = (NoiseSpec("A", "amplitude", 1e308), NoiseSpec("A", "amplitude", 1e308))
 SUMMED = "summed amplitude rate of qubit A must be finite"
+# finite summed rates whose total overflows
+AMPLITUDE_PAIR = (NoiseSpec("A", "amplitude", 1e308), NoiseSpec("B", "amplitude", 1e308))
+ALL_FOUR_MAX = tuple(NoiseSpec(q, kind, sys.float_info.max)
+                     for q in "AB" for kind in ("amplitude", "phase"))
 
 
 def test_check_times_names_the_first_bad_time():
@@ -69,8 +83,7 @@ def test_overflowing_summed_rate_raises_one_value_error(route):
 @pytest.mark.parametrize("specs, dies", [
     ((NoiseSpec("A", "amplitude", 1e308),), False),
     ((NoiseSpec("A", "phase", 1e308), NoiseSpec("B", "phase", 1e308)), False),
-    (tuple(NoiseSpec(q, kind, sys.float_info.max) for q in "AB" for kind in ("amplitude", "phase")),
-     True),
+    (ALL_FOUR_MAX, True),
 ], ids=["amplitude", "phase_pair", "all_four_max"])
 def test_huge_rates_leave_the_x_margins_quiet(specs, dies):
     # amp * t overflowed, and ph_A + ph_B was inf, which made nan at t = 0
@@ -81,6 +94,19 @@ def test_huge_rates_leave_the_x_margins_quiet(specs, dies):
         last = "SUDDEN_DEATH" if dies else "EXPONENTIAL"
         assert [c.kind.value for c in cells] == [
             "SEPARABLE_AT_START", "EXPONENTIAL", "SEPARABLE_AT_START", last]
+
+
+@pytest.mark.parametrize("specs", [AMPLITUDE_PAIR, ALL_FOUR_MAX],
+                         ids=["amplitude_pair", "all_four_max"])
+def test_finite_rates_whose_total_overflows(specs):
+    # each summed rate is finite, but evolve_x's coherence exponent and the
+    # RK4 generator's entries add up to inf: inf * 0 was nan at t = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (0.0, -0.0):
+            assert evolve_x(lambda_state(4.0), specs, t) == lambda_state(4.0)
+        with pytest.raises(ValueError, match="overflow the master-equation generator"):
+            integrate_path(lambda_state(4.0).to_density(), specs, [0.0, 1e-3])
 
 
 def test_integrate_path_names_a_non_finite_time():
@@ -225,3 +251,83 @@ def test_cli_inputs_exit_cleanly(rng):
                 assert err == "", (argv, err)
                 _strict_output(argv, out)
             assert seconds < 5.0, (argv, seconds)
+
+
+# The library half: each float argument of the public functions at the CLI
+# sweep's values.  A route's arguments are floats (or None for an optional
+# horizon); noise routes pass their first four as the rates of NOISE_SLOTS.
+VALUES = [float(v) for v in FLOATS]
+RATES = (0.0, 0.0, 1.0, 1.0)  # phase noise alone: no death, no bisection
+
+
+def _specs(args):
+    return tuple(NoiseSpec(*slot.split(":"), rate) for slot, rate in zip(NOISE_SLOTS, args))
+
+
+LIBRARY = {  # name: (call, base arguments, positions of two or more rates moved together)
+    "coherence_factor": (coherence_factor, (1.0, 1.0, 0.0), (0, 1)),
+    "phase_concurrence": (phase_concurrence, (4.0, 1.0, 0.0), ()),
+    "amplitude_elements": (amplitude_elements, (4.0, 1.0, 0.0), ()),
+    "amplitude_concurrence": (amplitude_concurrence, (4.0, 1.0, 0.0), ()),
+    "combined_concurrence": (combined_concurrence, (4.0, 1.0, 1.0, 0.0), (1, 2)),
+    "combined_death_time": (combined_death_time, (4.0, 1.0, 1.0), (1, 2)),
+    "lambda_state": (lambda_state, (4.0,), ()),
+    "XState": (XState, (0.1, 0.4, 0.4, 0.1, 0.3), ()),
+    "evolve_x": (lambda *r: evolve_x(lambda_state(4.0), _specs(r), r[4]), RATES + (0.0,), range(4)),
+    "trace_x": (lambda *r: trace_concurrence(lambda_state(4.0), _specs(r), r[4:]),
+                RATES + (0.0, 1.0), range(4)),
+    "trace_general": (lambda *r: trace_concurrence(equivalence_state(), _specs(r), r[4:]),
+                      RATES + (0.0, 1.0), range(4)),
+    "esd_time_x": (lambda *r: esd_time(lambda_state(4.0), _specs(r), r[4]), RATES + (2.0,),
+                   range(4)),
+    "esd_time_general": (lambda *r: esd_time(equivalence_state(), _specs(r), r[4]),
+                         RATES + (2.0,), range(4)),
+    "classify": (lambda *r: classify(lambda_state(4.0), _specs(r), r[4]), RATES + (None,),
+                 range(4)),
+    "diagram_grid": (lambda *r: diagram_grid([r[4], 0.2], [r[5], 0.3], _specs(r), r[6]),
+                     RATES + (0.0, 0.0, None), range(4)),
+    "integrate_path": (lambda *r: integrate_path(lambda_state(4.0).to_density(), _specs(r),
+                                                 r[4:6], r[6]),
+                       RATES + (0.0, 1e-3, 1e-4), range(4)),  # 10 RK4 steps at the base dt
+}
+
+
+def _library_cases(rng):
+    """Each argument alone at each value, the rates together at each value,
+    then seeded combinations in which each argument moves with chance 1/2."""
+    cases = []
+    for name, (call, base, rates) in LIBRARY.items():
+        moves = [{i: v} for i in range(len(base)) for v in VALUES]
+        moves += [{i: v for i in rates} for v in VALUES if rates]
+        moves += [{i: VALUES[rng.integers(len(VALUES))] for i in range(len(base))
+                   if rng.random() < 0.5} for _ in range(8)]
+        for move in moves:
+            cases.append((name, call, tuple(move.get(i, b) for i, b in enumerate(base))))
+    return cases
+
+
+def _numbers(out):
+    """Every number in a library result, but the a and z INVALID cells echo."""
+    if isinstance(out, DiagramCell) and out.kind is DecayKind.INVALID:
+        return []
+    if dataclasses.is_dataclass(out):
+        return _numbers([getattr(out, f.name) for f in dataclasses.fields(out)])
+    if isinstance(out, (list, tuple)):
+        return [x for item in out for x in _numbers(item)]
+    if out is None or isinstance(out, (str, DecayKind)):
+        return []
+    return np.ravel(out).tolist()
+
+
+def test_library_inputs_fail_only_with_value_error(rng):
+    """Every float argument of the library at extreme values: a call returns
+    finite numbers or raises one ValueError (SeparableStateError is one), and
+    no warning escapes."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, call, args in _library_cases(rng):
+            try:
+                out = call(*args)
+            except ValueError:
+                continue
+            assert np.isfinite(_numbers(out)).all(), (name, args, out)

@@ -96,18 +96,25 @@ def test_diagram_grid_matches_per_cell_reference(rng, panel, t_max):
 
 
 def test_diagram_grid_matches_reference_off_lattice(rng):
-    # unsorted values, out-of-range a and z, and more cells than one scan block
-    a_values = rng.uniform(-0.1, 1.1, 11)
-    z_values = np.concatenate([[0.0], rng.uniform(-0.05, 0.55, 9)])
+    # unsorted values, out-of-range a and z, and more cells than one scan
+    # block; a = -0.0 and a = 1.0 (half = 0), z = -0.0, and z at (1 - a)/2
+    # and 5e-13 past it, inside the XSTATE_TOL slack, where it is clamped
+    half = 0.5 * (1.0 - 0.3)
+    a_values = np.concatenate([rng.uniform(-0.1, 1.1, 11), [-0.0, 1.0, 0.3]])
+    z_values = np.concatenate([[0.0], rng.uniform(-0.05, 0.55, 9),
+                               [-0.0, 5e-13, half, half + 5e-13]])
     specs = _random_panel(rng, "iii")
     assert len(a_values) * len(z_values) > SCAN_BLOCK
-    got = _cells(a_values, z_values, specs)
-    assert repr(got) == repr(_reference_cells(a_values, z_values, specs, None))
+    for a, z in ((a_values, z_values), (a_values.tolist(), z_values.tolist())):
+        got = _cells(a, z, specs)
+        assert repr(got) == repr(_reference_cells(a, z, specs, None))
 
 
 def test_diagram_grid_single_and_empty_lattices(rng):
     specs = _random_panel(rng, "iii")
-    for a, z in ((0.2, 0.3), (0.2, 0.0), (0.9, 0.3)):
+    # a = -0.0, half = 0 at a = 1, z = -0.0, and z at (1 - 0.2)/2 = 0.4 (exact) and past it
+    edges = ((-0.0, 0.3), (1.0, 0.0), (1.0, 5e-13), (0.2, -0.0), (0.2, 0.4), (0.2, 0.4 + 5e-13))
+    for a, z in ((0.2, 0.3), (0.2, 0.0), (0.9, 0.3)) + edges:
         assert repr(_cells([a], [z], specs)) == repr(_reference_cells([a], [z], specs, None))
     assert diagram_grid([], [0.1], specs) == []
     assert diagram_grid([0.2], [], specs) == []
