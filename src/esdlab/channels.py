@@ -45,6 +45,7 @@ from .linalg import (
     NumericalFailureError,
     ValidationError,
     as_matrix,
+    as_stack,
     check_densities,
     kron,
     validate_density,
@@ -291,7 +292,7 @@ def _lift_op(op: np.ndarray, target: str, n_qubits: int) -> np.ndarray:
 
 
 def lindblad_rhs(rho, specs: Iterable[NoiseSpec]) -> np.ndarray:
-    """Dissipative generator applied to a state, as a plain matrix.
+    """Dissipative generator applied to a state, or to each matrix of a (..., d, d) stack.
 
     Per noise source, with L acting on the target qubit:
 
@@ -302,8 +303,8 @@ def lindblad_rhs(rho, specs: Iterable[NoiseSpec]) -> np.ndarray:
     Kraus pair at rate G (coherence factor exp(-G*t/2)); see the module
     docstring for the relation to the exp(-G*t) convention.
     """
-    mat = rho.mat if isinstance(rho, DensityMatrix) else as_matrix(rho)
-    n_qubits = 1 if mat.shape[0] == 2 else 2
+    mat = rho.mat if isinstance(rho, DensityMatrix) else as_stack(rho)
+    n_qubits = 1 if mat.shape[-1] == 2 else 2
     out = np.zeros_like(mat)
     for s in specs:
         if s.kind == "amplitude":
@@ -317,17 +318,6 @@ def lindblad_rhs(rho, specs: Iterable[NoiseSpec]) -> np.ndarray:
             sz = _lift_op(_SIGMA_Z, s.target, n_qubits)
             out += (0.25 * s.rate) * (sz @ mat @ sz - mat)
     return out
-
-
-def _superoperator(specs, dim: int) -> np.ndarray:
-    """Matrix of lindblad_rhs on vectorized states, built column by column."""
-    n = dim * dim
-    sup = np.zeros((n, n), dtype=np.complex128)
-    for j in range(n):
-        basis = np.zeros(n, dtype=np.complex128)
-        basis[j] = 1.0
-        sup[:, j] = lindblad_rhs(basis.reshape(dim, dim), specs).reshape(n)
-    return sup
 
 
 def _rk4_step_matrix(sup: np.ndarray, h: float) -> np.ndarray:
@@ -361,8 +351,12 @@ def _rk4_runs(
     for specs in spec_sets:  # the generator adds up the rates of each set
         fold_rates(specs)
     dim, runs = rho0.dim, len(spec_sets)
+    basis = np.eye(dim * dim, dtype=np.complex128).reshape(-1, dim, dim)
+    # row j is the generator applied to basis matrix j, so vec of column j of
+    # the superoperator: transposed, then copied to C order by np.array
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-        sups = np.array([_superoperator(specs, dim) for specs in spec_sets])
+        sups = np.array([lindblad_rhs(basis, specs).reshape(len(basis), -1).T
+                         for specs in spec_sets])
     if not np.isfinite(sups).all():
         raise ValueError("noise rates overflow the master-equation generator")
     vecs = rho0.mat.reshape(1, dim * dim, 1)  # one column, broadcast over the runs

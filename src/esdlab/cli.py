@@ -148,10 +148,11 @@ def load_config(args) -> RunConfig:
     # flags override file values
     flags = {key: getattr(args, key, None) for key in ("t_max", "samples")}
     flags = {key: value for key, value in flags.items() if value is not None}
-    if getattr(args, "state", None) is not None:
-        flags.update(state=_parse_state(args.state), lam=None)
-    if getattr(args, "lam", None) is not None:
-        flags.update(state=None, lam=args.lam)
+    state, lam = getattr(args, "state", None), getattr(args, "lam", None)
+    if state is not None and lam is not None:
+        raise ConfigError("give either --state or --lambda, not both")
+    if state is not None or lam is not None:
+        flags.update(state=None if state is None else _parse_state(state), lam=lam)
     if getattr(args, "noise", None):
         flags["noises"] = tuple(_parse_noise(n) for n in args.noise)
     return replace(cfg, **flags)
@@ -191,6 +192,9 @@ def _grid(stop: float, num: int, flags: str) -> np.ndarray:
 
 
 def cmd_trace(args) -> int:
+    for flag, value in (("--lambda", args.lam), ("--state", args.state)):
+        if args.sweep_lambda and value is not None:
+            raise ConfigError(f"give either --sweep-lambda or {flag}, not both")
     cfg = load_config(args)
     times = _grid(cfg.t_max, cfg.samples, "--t-max and --samples")
     if args.sweep_lambda:

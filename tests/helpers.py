@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 
-from esdlab import XState, validate_density
+from esdlab import NoiseSpec, XState, validate_density
+
+# zero, the ends of the float range and a plain rate
+EDGE_RATES = (0.0, 5e-324, 1e-300, 1.0, 1e300)
 
 
 def random_density(rng, dim):
@@ -28,6 +31,23 @@ def random_x_state(rng):
     radius = rng.uniform(0.0, np.sqrt(b * c))
     phase = rng.uniform(0.0, 2 * np.pi)
     return XState(a, b, c, d, radius * np.exp(1j * phase))
+
+
+def edge_spec_sets(rng):
+    """(dim, specs) for 1 and 2 qubits: 0-5 specs on random targets and kinds
+    at EDGE_RATES or a random rate, and each kind three times on qubit A at
+    each of EDGE_RATES, so that same-kind specs repeat."""
+    cases = []
+    for dim, targets in ((2, ["A"]), (4, ["A", "B"])):
+        for count in range(6):
+            for _ in range(4):
+                rates = EDGE_RATES + (float(rng.uniform(0.0, 3.0)),)
+                cases.append((dim, tuple(
+                    NoiseSpec(str(rng.choice(targets)), str(rng.choice(["amplitude", "phase"])),
+                              rates[rng.integers(len(rates))]) for _ in range(count))))
+        cases += [(dim, (NoiseSpec("A", kind, rate),) * 3)
+                  for kind in ("amplitude", "phase") for rate in EDGE_RATES]
+    return cases
 
 
 def damping(rate, t):

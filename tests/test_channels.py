@@ -29,7 +29,7 @@ from esdlab.channels import (
     fold_rates,
 )
 
-from helpers import damping, partial_trace, random_density, random_x_state
+from helpers import damping, edge_spec_sets, partial_trace, random_density, random_x_state
 
 PLUS_X = validate_density(np.full((2, 2), 0.5, dtype=complex))
 IDENTITY = np.eye(2, dtype=complex)[None, None]  # one time, one Kraus matrix
@@ -317,6 +317,18 @@ def test_lindblad_rhs_traceless_hermitian(rng):
 def test_lindblad_rhs_rejects_b_target_on_single_qubit():
     with pytest.raises(ValueError):
         lindblad_rhs(PLUS_X, (NoiseSpec("B", "phase", 1.0),))
+
+
+def test_lindblad_rhs_stack_matches_per_matrix_calls(rng):
+    for dim, specs in edge_spec_sets(rng):
+        shape = (2, 3, dim, dim)
+        stacks = [np.eye(dim * dim, dtype=complex).reshape(-1, dim, dim),
+                  rng.normal(size=shape) + 1j * rng.normal(size=shape)]
+        for stack in stacks:
+            got = lindblad_rhs(stack, specs)
+            want = [lindblad_rhs(m, specs) for m in stack.reshape(-1, dim, dim)]
+            assert got.shape == stack.shape
+            assert got.tobytes() == np.array(want).tobytes(), (dim, specs)
 
 
 def integrate(rho0, specs, t, dt=DEFAULT_DT):

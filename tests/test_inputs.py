@@ -4,6 +4,7 @@ line with a documented exit code (CLI), and no warning escapes."""
 
 import dataclasses
 import io
+import itertools
 import json
 import math
 import sys
@@ -32,6 +33,7 @@ from esdlab import (
     lambda_state,
     phase_concurrence,
     trace_concurrence,
+    validate_density,
 )
 from esdlab.channels import check_times, evolve_states, noise_channel, transfer_states
 from esdlab.cli import main
@@ -149,6 +151,35 @@ def test_cli_overflowing_summed_rate_exits_2(command, tmp_path):
     _one_line_error(run_cli(command + ["--config", str(path)]), SUMMED)
 
 
+STATE = "--state=0.1,0.4,0.4,0.1,0.3,0"
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (["esd", STATE, "--lambda", "4", "--t-max", "5"], ("--state", "--lambda")),
+    (["trace", "--lambda", "4", STATE], ("--state", "--lambda")),
+    (["trace", "--sweep-lambda", "2", "--lambda", "1"], ("--sweep-lambda", "--lambda")),
+    (["trace", "--sweep-lambda", "2", STATE], ("--sweep-lambda", "--state")),
+], ids=["esd_state_lambda", "trace_state_lambda", "sweep_lambda", "sweep_state"])
+def test_cli_contradictory_state_flags_exit_2(argv, flags, tmp_path):
+    noise = ["--noise", "A:phase:1", "--noise", "A:amplitude:1"]
+    _one_line_error(run_cli(argv + noise), *flags)
+    path = tmp_path / "run.json"  # the file's own state or lambda changes nothing
+    path.write_text(json.dumps({"lambda": 2.0}), encoding="utf-8")
+    _one_line_error(run_cli(argv + noise + ["--config", str(path)]), *flags)
+
+
+@pytest.mark.parametrize("command", [["esd"], ["trace", "--samples", "3"]])
+def test_cli_state_flag_overrides_config_file(command, tmp_path):
+    noise = ["--noise", "A:phase:1", "--noise", "A:amplitude:1"]
+    block = {"a": 0.1, "b": 0.4, "c": 0.4, "d": 0.1, "z_re": 0.3, "z_im": 0.0}
+    path = tmp_path / "run.json"
+    for data, flag in (({"lambda": 2.0}, [STATE]), ({"state": block}, ["--lambda", "4"])):
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err, _ = run_cli(command + noise + flag + ["--config", str(path)])
+        assert (code, err) == (0, "")
+        assert out == run_cli(command + noise + flag)[1]
+
+
 def test_cli_grid_that_does_not_ascend_exits_2():
     # linspace(0, 5e-324, 3) is [0, 0, 5e-324]
     _one_line_error(run_cli(["trace", "--lambda", "4", "--t-max", "5e-324", "--samples", "3"]),
@@ -199,19 +230,28 @@ def _flag(flag, value, index):
     return [flag, value]
 
 
+def _base(command, flags):
+    """BASE of a command, without its --lambda when a --state or --sweep-lambda
+    slot sets the initial state, since that pair exits 2."""
+    argv = list(BASE[command])
+    if {"--state", "--sweep-lambda"} & set(flags):
+        at = argv.index("--lambda")
+        del argv[at:at + 2]
+    return argv
+
+
 def _fuzz_cases(rng):
     cases = []
     for command, slots in SLOTS.items():
         for flag, values in slots.items():
             for value in values:
                 for index in range({"--noise": 4, "--state": 6}.get(flag, 1)):
-                    cases.append(BASE[command] + _flag(flag, value, index))
+                    cases.append(_base(command, [flag]) + _flag(flag, value, index))
     for _ in range(60):  # seeded combinations of several slots
         command = list(SLOTS)[rng.integers(len(SLOTS))]
-        argv = list(BASE[command])
-        for flag, values in SLOTS[command].items():
-            if rng.random() < 0.5:
-                argv += _flag(flag, values[rng.integers(len(values))], int(rng.integers(6)))
+        moved = {flag: _flag(flag, values[rng.integers(len(values))], int(rng.integers(6)))
+                 for flag, values in SLOTS[command].items() if rng.random() < 0.5}
+        argv = _base(command, moved) + [arg for parts in moved.values() for arg in parts]
         if command in ("trace", "diagram") and rng.random() < 0.5:
             argv += ["--format", "json"]
         cases.append(argv)
@@ -260,6 +300,12 @@ VALUES = [float(v) for v in FLOATS]
 RATES = (0.0, 0.0, 1.0, 1.0)  # phase noise alone: no death, no bisection
 
 
+# a general (not X) state with every element populated and concurrence
+# about 0.5: equivalence_state() is separable, so esd_time refuses it
+_PSI = np.array([0.7, 0.3, 0.3, math.sqrt(0.33)])
+ENTANGLED = validate_density(0.9 * np.outer(_PSI, _PSI) + 0.025 * np.eye(4))
+
+
 def _specs(args):
     return tuple(NoiseSpec(*slot.split(":"), rate) for slot, rate in zip(NOISE_SLOTS, args))
 
@@ -280,7 +326,7 @@ LIBRARY = {  # name: (call, base arguments, positions of two or more rates moved
                       RATES + (0.0, 1.0), range(4)),
     "esd_time_x": (lambda *r: esd_time(lambda_state(4.0), _specs(r), r[4]), RATES + (2.0,),
                    range(4)),
-    "esd_time_general": (lambda *r: esd_time(equivalence_state(), _specs(r), r[4]),
+    "esd_time_general": (lambda *r: esd_time(ENTANGLED, _specs(r), r[4]),
                          RATES + (2.0,), range(4)),
     "classify": (lambda *r: classify(lambda_state(4.0), _specs(r), r[4]), RATES + (None,),
                  range(4)),
@@ -330,4 +376,73 @@ def test_library_inputs_fail_only_with_value_error(rng):
                 out = call(*args)
             except ValueError:
                 continue
+            assert np.isfinite(_numbers(out)).all(), (name, args, out)
+
+
+# The must-succeed half: inputs inside each route's domain.  Each argument of
+# a LIBRARY route is a rate (R), the elapsed time or a grid's first time (T),
+# a lambda in (0, 4] (L), or is held at its base value (-).
+KINDS_OF = {
+    "coherence_factor": "RRT", "phase_concurrence": "LRT", "amplitude_elements": "LRT",
+    "amplitude_concurrence": "LRT", "combined_concurrence": "LRRT",
+    "combined_death_time": "LRR", "lambda_state": "L", "XState": "-----",
+    "evolve_x": "RRRRT", "trace_x": "RRRRT-", "trace_general": "RRRRT-",
+    "esd_time_x": "RRRR-", "esd_time_general": "RRRR-", "classify": "RRRR-",
+    "diagram_grid": "RRRR---", "integrate_path": "RRRRT--",
+}
+GOOD = {"R": [0.0, -0.0, 5e-324, 1e-308, 1e-300, 1.0, 1e300, sys.float_info.max],
+        "T": [0.0, -0.0], "L": [5e-324, 1e-300, 1.0, 3.0, 4.0]}
+# a positive rate below this has no finite default horizon 20 / rate
+TINY = 20.0 / sys.float_info.max
+
+
+def _good_cases():
+    """Each rate alone and the rates together at each GOOD rate, crossed
+    with t = 0 and -0.0, then each lambda alone."""
+    cases = []
+    for name, kinds in KINDS_OF.items():
+        call, base, _ = LIBRARY[name]
+        slots = {kind: [i for i, k in enumerate(kinds) if k == kind] for kind in GOOD}
+        rate_moves = [{}] + [{i: v} for i in slots["R"] for v in GOOD["R"]]
+        if len(slots["R"]) > 1:
+            rate_moves += [dict.fromkeys(slots["R"], v) for v in GOOD["R"]]
+        time_moves = [{}] + [{i: v} for i in slots["T"] for v in GOOD["T"]]
+        moves = [{**rates, **times} for rates, times in itertools.product(rate_moves, time_moves)]
+        moves += [{i: v} for i in slots["L"] for v in GOOD["L"]]
+        cases += [(name, call, tuple(move.get(i, b) for i, b in enumerate(base))) for move in moves]
+    return cases
+
+
+def _refusal(name, args):
+    """The message with which a route's own contract refuses an input of
+    _good_cases, or None when the route must return."""
+    rates = [arg for arg, kind in zip(args, KINDS_OF[name]) if kind == "R"]
+    if name == "amplitude_concurrence" and args[0] < 3:
+        return "closed form holds for 3 <= lambda <= 4"
+    if name in ("combined_death_time", "classify", "diagram_grid"):  # no horizon given
+        if any(0 < rate < TINY for rate in rates):
+            return "too small for the default horizon 20 / rate"
+    if name == "integrate_path" and all(rate == sys.float_info.max for rate in rates):
+        return "noise rates overflow the master-equation generator"
+    if name == "integrate_path" and max(rates) >= 1e300:  # at dt = 1e-4
+        return "exceeds the stability limit"
+    return None
+
+
+def test_library_inputs_in_the_domain_succeed():
+    """A valid state, finite summed rates and t = 0 or -0.0 give finite
+    numbers with no warning, but where _refusal names the route's own
+    contract, which must then raise its ValueError."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, call, args in _good_cases():
+            refusal = _refusal(name, args)
+            if refusal:
+                with pytest.raises(ValueError, match=refusal):
+                    call(*args)
+                continue
+            try:
+                out = call(*args)
+            except Exception as exc:
+                pytest.fail(f"{name}{args} raised {exc!r}")
             assert np.isfinite(_numbers(out)).all(), (name, args, out)

@@ -25,11 +25,23 @@ from esdlab.channels import (
 )
 from esdlab.checks import additivity_series, check_kraus_lindblad
 
-from helpers import random_density
+from helpers import edge_spec_sets, random_density
 
 # spans of 0.013, 0.037, 0.25 and 0.01 need steps of four different sizes
 UNEVEN_GRID = [0.0, 0.013, 0.05, 0.3, 0.31]
 PLUS_X = validate_density(np.full((2, 2), 0.5, dtype=np.complex128))
+
+
+def reference_generator(specs, dim):
+    """The superoperator of lindblad_rhs column by column, one call per
+    basis matrix."""
+    n = dim * dim
+    sup = np.zeros((n, n), dtype=np.complex128)
+    for j in range(n):
+        basis = np.zeros(n, dtype=np.complex128)
+        basis[j] = 1.0
+        sup[:, j] = lindblad_rhs(basis.reshape(dim, dim), specs).reshape(n)
+    return sup
 
 
 def reference_path(rho0, specs, times, dt):
@@ -37,11 +49,7 @@ def reference_path(rho0, specs, times, dt):
     step per span, and one matrix-vector product per step."""
     dim = rho0.dim
     n = dim * dim
-    sup = np.zeros((n, n), dtype=np.complex128)
-    for j in range(n):
-        basis = np.zeros(n, dtype=np.complex128)
-        basis[j] = 1.0
-        sup[:, j] = lindblad_rhs(basis.reshape(dim, dim), specs).reshape(n)
+    sup = reference_generator(specs, dim)
     vec, now, out = rho0.mat.reshape(n), 0.0, []
     for t in times:
         n_steps = math.ceil((t - now) / dt - 1e-12)
@@ -137,12 +145,13 @@ def test_additivity_routes_match_per_time_computations():
 
 @pytest.fixture
 def step_builds(monkeypatch):
-    """Count the RK4 step matrices built: no step can run before the first."""
+    """The generator stack of each RK4 step matrix built: no step can run
+    before the first."""
     calls = []
     build = channels._rk4_step_matrix
 
     def counted(sup, h):
-        calls.append(h)
+        calls.append(sup)
         return build(sup, h)
 
     monkeypatch.setattr(channels, "_rk4_step_matrix", counted)
@@ -160,6 +169,22 @@ def test_stack_rejects_a_run_rk4_cannot_take_before_any_step(rng, step_builds):
     assert step_builds == []
     channels._rk4_runs(rho0, [fine, fine], [0.5, 1.0], 1e-4)
     assert len(step_builds) == 2  # one build per span once the checks pass
+
+
+def test_generator_is_the_column_by_column_superoperator(rng, step_builds):
+    """One lindblad_rhs call on the stacked basis per run gives the generator
+    of reference_generator bit for bit, in C order."""
+    cases = edge_spec_sets(rng)
+    for (dim, specs), (other_dim, other) in zip(cases, cases[1:] + cases[:1]):
+        spec_sets = [specs, other] if other_dim == dim else [specs]
+        total = max(sum(s.rate for s in run) for run in spec_sets)
+        t = min(1e-3, 0.5 / total) if total else 1e-3  # one stable step
+        step_builds.clear()
+        channels._rk4_runs(random_density(rng, dim), spec_sets, [0.0, t], t)
+        (sups,) = step_builds
+        assert sups.flags.c_contiguous
+        want = np.array([reference_generator(run, dim) for run in spec_sets])
+        assert sups.tobytes() == want.tobytes(), spec_sets
 
 
 def test_stack_names_the_time_at_which_a_run_left_the_state_space(rng, monkeypatch):
