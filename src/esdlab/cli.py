@@ -24,7 +24,6 @@ from .concurrence import (
     DecayKind,
     SeparableStateError,
     XState,
-    default_t_max,
     diagram_grid,
     esd_time,
     lambda_state,
@@ -244,11 +243,10 @@ def cmd_diagram(args) -> int:
     a_values = _grid(1.0, args.resolution, "--resolution")
     z_values = _grid(0.5, args.resolution, "--resolution")
     try:
-        t_max = default_t_max([args.rate]) if args.t_max is None else args.t_max
+        cells = diagram_grid(a_values, z_values, specs, args.t_max)
     except ValueError as exc:
         raise ConfigError(f"--rate {args.rate!r} is too small for the default horizon "
                           "20 / rate; give --t-max") from exc
-    cells = diagram_grid(a_values, z_values, specs, t_max)
     rows = [[_fmt(c.a), _fmt(c.z), c.kind.value, "" if c.t_star is None else _fmt(c.t_star)]
             for c in cells]
     _table(args, ["a", "z", "class", "t_star"], rows)

@@ -15,18 +15,19 @@ With w2 = 1 - exp(-rate_amp * t):
                           max{0, lam exp(-rate_phase t) - sqrt(w2^2 + 8 w2)}
 
 The two-noise form vanishes at the root of its bracket and stays zero; the
-single-noise forms only decay exponentially.
+single-noise forms only decay exponentially.  The root exists exactly when
+rate_amp > 0 and (rate_phase > 0 or lam < 3); this layer bisects it on its
+own and shares no root finder or horizon with the numerical routes.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from typing import Optional
 
-import numpy as np
-
 from .channels import check_rates, check_time
-from .concurrence import SCAN_POINTS, check_lambda, default_t_max, first_root
+from .concurrence import check_lambda
 
 
 def coherence_factor(rate_amp: float, rate_phase: float, t: float) -> float:
@@ -55,7 +56,7 @@ def amplitude_elements(lam: float, rate: float, t: float):
     check_rates(rate=rate)
     check_time(t)
     decay = math.exp(-rate * t)
-    w2 = 1.0 - decay
+    w2 = -math.expm1(-rate * t)
     z = (lam / 9.0) * decay
     a = decay * decay / 9.0
     d = w2 * w2 / 9.0 + 8.0 * w2 / 9.0
@@ -64,7 +65,7 @@ def amplitude_elements(lam: float, rate: float, t: float):
 
 def _bracket(lam: float, rate_amp: float, rate_phase: float, t: float) -> float:
     """lam exp(-rate_phase t) - sqrt(w2^2 + 8 w2), with w2 = 1 - exp(-rate_amp t)."""
-    w2 = 1.0 - math.exp(-rate_amp * t)
+    w2 = -math.expm1(-rate_amp * t)
     return lam * math.exp(-rate_phase * t) - math.sqrt(w2 * w2 + 8.0 * w2)
 
 
@@ -98,17 +99,20 @@ def combined_concurrence(
 def combined_death_time(
     lam: float, rate_amp: float, rate_phase: float
 ) -> Optional[float]:
-    """Root of the two-noise bracket, by bracketed bisection to 1e-12.
-
-    Returns None when the bracket keeps its sign up to the horizon
-    20 / min(positive rate), meaning the decay stays exponential.
-    """
+    """Root of the two-noise bracket, to adjacent floats.  It starts at lam > 0 and
+    never rises; with rate_amp > 0, w2 -> 1 and sqrt(w2^2 + 8 w2) -> 3, so its t -> oo
+    limit is -3 if rate_phase > 0, else lam - 3; with rate_amp = 0 it stays
+    lam exp(-rate_phase t) > 0.  None when the limit is not negative, as there is no
+    root; ValueError when the root lies past the largest float."""
     check_lambda(lam)
     check_rates(rate_amp=rate_amp, rate_phase=rate_phase)
-    t_max = default_t_max((rate_amp, rate_phase))
-
-    def brackets(_, times):
-        return np.array([_bracket(lam, rate_amp, rate_phase, float(t)) for t in times])
-
-    grid = np.linspace(0.0, t_max, SCAN_POINTS + 1)
-    return first_root(brackets, grid, [brackets(None, grid)], 1e-12)[0]
+    if not (rate_amp > 0 and (rate_phase > 0 or lam < 3)):
+        return None
+    lo, hi = 0.0, 1.0  # double hi, the last doubling clamped, until the bracket is <= 0
+    while _bracket(lam, rate_amp, rate_phase, hi) > 0:
+        if hi == sys.float_info.max:
+            raise ValueError("the death time lies past the largest float")
+        lo, hi = hi, min(2.0 * hi, sys.float_info.max)
+    while lo < (mid := lo + 0.5 * (hi - lo)) < hi:  # the midpoint cannot overflow
+        lo, hi = (lo, mid) if _bracket(lam, rate_amp, rate_phase, mid) <= 0 else (mid, hi)
+    return hi

@@ -30,7 +30,7 @@ from .channels import (
 )
 from .linalg import DensityMatrix, kron, product_spectrum, validate_density
 
-# root scan: grid points on (0, t_max], and the bisection width of esd_time
+# root scan: grid points on (0, t_max], and the bisection width of first_root
 SCAN_POINTS = 512
 SCAN_BLOCK = 32  # X states scanned at a time: bounds the (block, grid) temporaries
 ESD_RESOLUTION = 1e-10
@@ -250,13 +250,13 @@ def trace_concurrence(
     return ConcurrenceTrace(times=times, values=values, specs=specs, initial=initial)
 
 
-def first_root(margin, grid, values, resolution: float) -> list[Optional[float]]:
+def first_root(margin, grid, values) -> list[Optional[float]]:
     """First sign change of each row of ``values``, margins on ``grid`` that start > 0.
 
     ``values`` is an (n, m) array or an iterable of (k, m) row blocks.  Each
     row's bracket [grid[idx - 1], grid[idx]] around its first nonpositive
     value is bisected on ``margin(rows, t)``, the margins of those rows at
-    their own times, all rows in lockstep, each down to ``resolution`` or to
+    their own times, all rows in lockstep, each down to ESD_RESOLUTION or to
     adjacent floats.  Returns per row the nonpositive end of the bracket, or
     None when the row has no nonpositive value.
     """
@@ -270,7 +270,7 @@ def first_root(margin, grid, values, resolution: float) -> list[Optional[float]]
     roots = np.zeros(len(idx))
     while True:
         mid = 0.5 * (lo + hi)
-        go = (hi - lo > resolution) & (lo < mid) & (mid < hi)
+        go = (hi - lo > ESD_RESOLUTION) & (lo < mid) & (mid < hi)
         if not go.all():
             roots[rows[~go]] = hi[~go]
             rows, lo, hi, mid = rows[go], lo[go], hi[go], mid[go]
@@ -316,7 +316,7 @@ def esd_time(
     if margins_at(np.zeros(1))[0] <= 0.0:
         raise SeparableStateError("initial state is separable (zero concurrence)")
     grid = np.linspace(0.0, t_max, SCAN_POINTS + 1)
-    return first_root(lambda _, t: margins_at(t), grid, [margins_at(grid)], ESD_RESOLUTION)[0]
+    return first_root(lambda _, t: margins_at(t), grid, [margins_at(grid)])[0]
 
 
 class DecayKind(Enum):
@@ -340,13 +340,15 @@ class DecayClass:
             raise ValueError("t_star must be > 0")
 
 
-def default_t_max(rates: Iterable[float]) -> float:
-    """Horizon 20 / min(active rate): exp(-20) is below every tolerance in use."""
-    active = [r for r in rates if r > 0]
-    horizon = 20.0 / min(active) if active else 1.0
-    if not math.isfinite(horizon):
-        raise ValueError(f"rate {min(active)!r} is too small for the default horizon 20 / rate")
-    return horizon
+def _horizon(specs: tuple, t_max: Optional[float]) -> float:
+    """``t_max`` checked, or 20 / min(active rate): exp(-20) is below every tolerance in use."""
+    if t_max is None:
+        active = [s.rate for s in specs if s.rate > 0]
+        t_max = 20.0 / min(active) if active else 1.0
+        if not math.isfinite(t_max):
+            raise ValueError(f"rate {min(active)!r} is too small for the default horizon 20 / rate")
+    _check_horizon(t_max)
+    return t_max
 
 
 def classify(
@@ -359,8 +361,7 @@ def classify(
     fold_rates(specs)  # an overflowing summed rate raises here too, as on every route
     if concurrence_x(x) == 0.0:
         return DecayClass(DecayKind.SEPARABLE_AT_START)
-    horizon = default_t_max(s.rate for s in specs) if t_max is None else t_max
-    t_star = esd_time(x, specs, horizon)
+    t_star = esd_time(x, specs, _horizon(specs, t_max))
     if t_star is None:
         return DecayClass(DecayKind.EXPONENTIAL)
     return DecayClass(DecayKind.SUDDEN_DEATH, t_star)
@@ -400,16 +401,13 @@ def diagram_grid(
     kinds = [DecayKind.SEPARABLE_AT_START if ok else DecayKind.INVALID for ok in valid.tolist()]
     t_stars: list[Optional[float]] = [None] * len(kinds)
     if len(live):
-        horizon = default_t_max(s.rate for s in specs) if t_max is None else t_max
-        _check_horizon(horizon)
         entries = np.array([a[live], half[live], half[live], np.zeros(len(live)), z_in[live]])
-        grid = np.linspace(0.0, horizon, SCAN_POINTS + 1)
+        grid = np.linspace(0.0, _horizon(specs, t_max), SCAN_POINTS + 1)
         blocks = (
             _x_margins(entries[:, lo:lo + SCAN_BLOCK, None], rates, grid)
             for lo in range(0, len(live), SCAN_BLOCK)
         )
-        roots = first_root(lambda rows, t: _x_margins(entries[:, rows], rates, t),
-                           grid, blocks, ESD_RESOLUTION)
+        roots = first_root(lambda rows, t: _x_margins(entries[:, rows], rates, t), grid, blocks)
         for i, t_star in zip(live.tolist(), roots):
             kinds[i] = DecayKind.EXPONENTIAL if t_star is None else DecayKind.SUDDEN_DEATH
             t_stars[i] = t_star

@@ -1,5 +1,6 @@
 import math
 import sys
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -137,9 +138,73 @@ def test_every_closed_form_checks_its_rates():
 
 
 def test_combined_death_time_rejects_rates_whose_horizon_overflows():
-    # the default horizon 20 / min(rate) is inf here: this returned t* = inf
-    with pytest.raises(ValueError, match="rate 5e-324 is too small"):
-        combined_death_time(4.0, 5e-324, 5e-324)
+    # only a root past the largest float raises: with rate_phase = 5e-324
+    # the root exceeds ln(4/3) / 5e-324
+    for rates in ((5e-324, 5e-324), (1.0, 5e-324)):
+        with pytest.raises(ValueError, match="past the largest float"):
+            combined_death_time(4.0, *rates)
+
+
+def _decimal_root(lam, rate_amp, rate_phase, t):
+    """The bracket's root to 50 digits by Newton's method in decimal, from t.
+
+    w2 = 1 - exp(-rate_amp t) is taken at extra digits where rate_amp t is
+    tiny, so that it keeps 50 significant ones."""
+    lam, ga, gp, t = (Decimal(x) for x in (lam, rate_amp, rate_phase, t))
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for _ in range(100):
+            decay = (-ga * t).exp()
+            with localcontext() as wide:
+                wide.prec = 60 + max(0, -(ga * t).adjusted())
+                w2 = 1 - (-ga * t).exp()
+            w2 = +w2
+            root = (w2 * w2 + 8 * w2).sqrt()
+            phase = lam * (-gp * t).exp()
+            slope = -gp * phase - (w2 + 4) * ga * decay / root
+            step = (phase - root) / slope
+            t -= step
+            if abs(step) <= t * Decimal("1e-45"):
+                return t
+    raise AssertionError("Newton's method did not converge")
+
+
+@pytest.mark.parametrize("lam", [1.0, 2.0, 3.0, 3.5, 4.0])
+def test_combined_death_time_matches_a_50_digit_root(lam):
+    rates = [(ga, gp) for ga in (0.5, 1.0, 2.0) for gp in (0.5, 1.0, 2.0)]
+    rates += [(ga, 0.0) for ga in (0.5, 1.0, 2.0) if lam < 3]
+    for ga, gp in rates:
+        t_star = combined_death_time(lam, ga, gp)
+        exact = _decimal_root(lam, ga, gp, t_star)
+        assert abs(Decimal(t_star) / exact - 1) <= Decimal("1e-13"), (lam, ga, gp)
+
+
+def test_combined_death_time_just_below_lambda_3_under_amplitude_alone():
+    # the bracket tends to lam - 3 = -1e-9: a death near t = 21.2, ill
+    # conditioned; the 20 / rate horizon reported no death here
+    lam = 3.0 - 1e-9
+    t_star = combined_death_time(lam, 1.0, 0.0)
+    assert t_star is not None
+    exact = _decimal_root(lam, 1.0, 0.0, t_star)
+    assert abs(Decimal(t_star) / exact - 1) <= Decimal("1e-7")
+
+
+def test_combined_death_time_root_between_2_1023_and_the_largest_float():
+    # the doubling must clamp to the largest float, not reach inf, and the
+    # midpoint lo + (hi - lo) / 2 must not overflow
+    assert combined_death_time(4.0, 5e-309, 5e-309) == 1.3469216322862824e308
+
+
+def test_tiny_amplitude_rate_keeps_its_term():
+    # w2 = 1 - exp(-rate t) rounded to 0 for rate t below ~1e-16, and the
+    # "root" sat where exp(-t) underflows, near t = 745; the roots are
+    # 33.135054105973760, 342.81574098711934 and 352.01284407946575
+    for rate_amp in (1e-30, 1e-300, 1e-308):
+        t_star = combined_death_time(4.0, rate_amp, 1.0)
+        exact = _decimal_root(4.0, rate_amp, 1.0, t_star)
+        assert abs(Decimal(t_star) / exact - 1) <= Decimal("1e-13"), rate_amp
+    z, a, d = amplitude_elements(4.0, 1e-30, 1.0)
+    assert abs(d - 8e-30 / 9) <= 1e-15 * d  # was 0.0
 
 
 def test_every_time_argument_must_be_finite_and_nonnegative():

@@ -367,16 +367,15 @@ def _entangled_general_state(rng):
 
 def test_concurrence_never_rises_and_its_zero_is_absorbing(rng):
     # local semigroup noise cannot create entanglement, so a root of the
-    # margin is a death time without any check past it
-    times = np.linspace(0.0, 4.0, 21)
-    states = [random_x_state(rng) for _ in range(30)]
-    states += [_entangled_general_state(rng) for _ in range(12)]
+    # margin is a death time without any check past it.  No step of the
+    # concurrence may rise, not even by roundoff (the signed general margin
+    # may, while negative), so a zero is absorbing as well
+    states = [random_x_state(rng) for _ in range(40)]
+    states += [_entangled_general_state(rng) for _ in range(40)]
     for state in states:
+        times = np.unique(rng.uniform(0.0, 5.0, 50))
         values = trace_concurrence(state, _random_local_noise(rng), times).values
-        assert np.diff(values).max() <= 1e-12
-        dead = np.flatnonzero(values == 0.0)
-        if len(dead):
-            assert np.all(values[dead[0]:] == 0.0)
+        assert (np.diff(values) <= 0.0).all(), np.diff(values).max()
 
 
 def test_amplitude_panel_boundary_cells_stay_exponential():

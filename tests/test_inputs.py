@@ -419,9 +419,14 @@ def _refusal(name, args):
     rates = [arg for arg, kind in zip(args, KINDS_OF[name]) if kind == "R"]
     if name == "amplitude_concurrence" and args[0] < 3:
         return "closed form holds for 3 <= lambda <= 4"
-    if name in ("combined_death_time", "classify", "diagram_grid"):  # no horizon given
+    if name in ("classify", "diagram_grid"):  # no horizon given
         if any(0 < rate < TINY for rate in rates):
             return "too small for the default horizon 20 / rate"
+    # the bracket lam exp(-rate_phase t) - sqrt(w2^2 + 8 w2) stays above
+    # lam exp(-rate_phase t) - 3, so for lam > 3 its root t* > ln(lam / 3) / rate_phase
+    if name == "combined_death_time" and args[0] > 3 and min(rates) > 0:
+        if math.log(args[0] / 3) / rates[1] > sys.float_info.max:
+            return "past the largest float"
     if name == "integrate_path" and all(rate == sys.float_info.max for rate in rates):
         return "noise rates overflow the master-equation generator"
     if name == "integrate_path" and max(rates) >= 1e300:  # at dt = 1e-4

@@ -155,36 +155,36 @@ def test_first_root_rows_match_one_row_calls_and_the_reference(rng):
     thresholds = np.concatenate([rng.uniform(0.01, 10.0, 20), [12.0, 30.0],
                                  grid[[1, 7]], [0.05]])
     margin, values = _linear_rows(thresholds, grid)
-    got = first_root(margin, grid, values, 1e-9)
+    got = first_root(margin, grid, values)
     assert got[20] is None and got[21] is None
     for row, c in enumerate(thresholds):
-        one = first_root(lambda _, t: c - t, grid, values[row:row + 1], 1e-9)
-        ref = _first_root_1d(lambda t: c - t, grid, values[row], 1e-9)
+        one = first_root(lambda _, t: c - t, grid, values[row:row + 1])
+        ref = _first_root_1d(lambda t: c - t, grid, values[row], ESD_RESOLUTION)
         assert repr(got[row]) == repr(one[0]) == repr(ref), row
     blocks = (values[lo:lo + 4] for lo in range(0, len(values), 4))
-    assert repr(first_root(margin, grid, blocks, 1e-9)) == repr(got)
+    assert repr(first_root(margin, grid, blocks)) == repr(got)
 
 
 def test_first_root_hit_at_first_grid_point():
     grid = np.linspace(0.0, 1.0, 9)
     margin, values = _linear_rows(np.array([0.01, 0.125]), grid)
-    got = first_root(margin, grid, values, 1e-12)
+    got = first_root(margin, grid, values)
     assert 0.0 < got[0] <= grid[1] and got[1] == grid[1]
-    assert got[0] - 0.01 <= 1e-12 and margin(np.array([0]), np.array([got[0]]))[0] <= 0.0
+    assert got[0] - 0.01 <= ESD_RESOLUTION and margin(np.array([0]), np.array([got[0]]))[0] <= 0.0
 
 
 def test_first_root_stops_at_adjacent_floats():
     # roots near 1e300 sit where adjacent floats are ~1e284 apart, far wider
-    # than the resolution: each row must stop on an adjacent pair, at its own step
+    # than ESD_RESOLUTION: each row must stop on an adjacent pair, at its own step
     grid = np.linspace(0.0, 4e300, 9)
     thresholds = np.array([1.1e300, 2.7e300, 3.3e300])
     margin, values = _linear_rows(thresholds, grid)
-    got = first_root(margin, grid, values, 1e-10)
+    got = first_root(margin, grid, values)
     for c, t in zip(thresholds, got):
         assert t >= c and np.nextafter(t, 0.0) < c
-        assert repr(t) == repr(_first_root_1d(lambda s: c - s, grid, c - grid, 1e-10))
+        assert repr(t) == repr(_first_root_1d(lambda s: c - s, grid, c - grid, ESD_RESOLUTION))
 
 
 def test_first_root_without_rows():
-    assert first_root(None, np.linspace(0.0, 1.0, 5), np.zeros((0, 5)), 1e-10) == []
-    assert first_root(None, np.linspace(0.0, 1.0, 5), [], 1e-10) == []
+    assert first_root(None, np.linspace(0.0, 1.0, 5), np.zeros((0, 5))) == []
+    assert first_root(None, np.linspace(0.0, 1.0, 5), []) == []
