@@ -25,11 +25,13 @@ term, only dissipators.
 
 Two-qubit states evolve by one of two routes.  ``evolve_states`` builds and
 applies the Kraus sets of a whole time grid: it is the oracle that
-``esdlab.checks`` and the tests hold the other routes to, and it evolves X
-states.  ``transfer_states`` applies the same channels as a tensor product
-of per-qubit transfer maps, with no Kraus set built, and evolves general
-states.  X states stay on Kraus because the transfer maps move their traced
-concurrence by a few 1e-16, and the stored golden CLI traces are byte-exact.
+``esdlab.checks`` and the tests hold the other routes to.
+``transfer_states`` applies the same channels as a tensor product of
+per-qubit transfer maps, with no Kraus set built, and evolves general
+states.  X states take neither: ``esdlab.concurrence`` writes the Kraus sum
+out on their five X entries, bit-identical to ``evolve_states``, because
+the transfer maps move their traced concurrence by a few 1e-16 and the
+stored golden CLI traces are byte-exact.
 """
 
 from __future__ import annotations

@@ -24,17 +24,17 @@ from .channels import (
     NoiseSpec,
     check_time,
     check_times,
-    evolve_states,
     fold_rates,
     transfer_states,
 )
-from .linalg import DensityMatrix, kron, product_spectrum, validate_density
+from .linalg import DensityMatrix, check_x_densities, kron, product_spectrum, validate_density
 
 # root scan: grid points on (0, t_max], and the bisection width of first_root
 SCAN_POINTS = 512
 SCAN_BLOCK = 32  # X states scanned at a time: bounds the (block, grid) temporaries
 ESD_RESOLUTION = 1e-10
-# grid times trace_concurrence evolves at once: bounds the (block, 16, 4, 4) Kraus stack
+# grid times trace_concurrence evolves at once: bounds the (block, 4, 4) transfer
+# stacks of a general state and the per-time factor arrays of an X state
 BLOCK_TIMES = 64
 # slack on XState's population sum and |z| <= sqrt(b c), and on diagram_grid's |z| clamp
 XSTATE_TOL = 1e-12
@@ -204,25 +204,60 @@ class ConcurrenceTrace:
         object.__setattr__(self, "specs", tuple(self.specs))
 
 
-def _x_entry_margins(states: np.ndarray) -> np.ndarray:
-    """2 (|z| - sqrt(max(0, a d))), read off a stack of X-shaped states."""
-    ad = states[:, 0, 0].real * states[:, 3, 3].real
-    z = states[:, 1, 2]
+def _qubit_factors(amp: float, phase: float, times: list) -> tuple:
+    """(u, s, w) of one qubit at its summed rates: the nonzero entries of its
+    composed Kraus ops diag(u, 1), s |+><+| and w |-><+| (the fourth op is 0),
+    computed as ``channels._kind_stack`` computes gamma and omega per kind,
+    with rate 0 for an absent kind (gamma = 1, omega = 0)."""
+    factors = []
+    for rate in (amp, phase):
+        # Python floats, not numpy scalars: an overflowing rate * t is -inf, silently
+        gamma = np.array([math.exp(-0.5 * rate * t) for t in times])
+        factors.append((gamma, np.sqrt(np.maximum(0.0, 1.0 - gamma * gamma))))
+    (g_amp, w_amp), (g_ph, w_ph) = factors
+    return g_ph * g_amp, w_ph * g_amp, w_amp
+
+
+def _x_kraus_margins(x: XState, rates: list[float], times: np.ndarray) -> np.ndarray:
+    """Margins 2 (|z| - sqrt(max(0, a d))) of an X state evolved to ``times``.
+
+    The Kraus sum of ``channels.evolve_states`` written out for the five X
+    entries, bit for bit: every op of the lifted Kraus set has at most one
+    nonzero entry per row, so each entry of K rho K^dag is one product
+    (k p) k plus exact zeros, and the terms add in op order.  The evolved
+    entries are checked as ``check_densities`` checks the evolved states.
+    """
+    amp_a, amp_b, ph_a, ph_b = rates
+    times = times.tolist()
+    ua, sa, wa = _qubit_factors(amp_a, ph_a, times)
+    ub, sb, wb = _qubit_factors(amp_b, ph_b, times)
+    a, b, c, d = x.a, x.b, x.c, x.d
+
+    def sq(k, p):
+        return k * p * k
+
+    a_t = sq(ua * ub, a) + sq(ua * sb, a) + sq(sa * ub, a) + sq(sa * sb, a)
+    b_t = sq(ua, b) + sq(ua * wb, a) + sq(sa, b) + sq(sa * wb, a)
+    c_t = sq(ub, c) + sq(sb, c) + sq(wa * ub, a) + sq(wa * sb, a)
+    d_t = d + sq(wb, c) + sq(wa, b) + sq(wa * wb, a)
+    z_t = ua * x.z * ub
+    check_x_densities(a_t, b_t, c_t, d_t, z_t)
+    ad = a_t * d_t
     # hypot, not np.abs: it matches the scalar abs() bit for bit
-    return 2.0 * (np.hypot(z.real, z.imag) - np.sqrt(np.where(ad > 0.0, ad, 0.0)))
+    return 2.0 * (np.hypot(z_t.real, z_t.imag) - np.sqrt(np.where(ad > 0.0, ad, 0.0)))
 
 
 def _evolved_margins(initial, specs: tuple, times) -> np.ndarray:
     """Margins of the evolved states, BLOCK_TIMES times at a time: an XState's
-    by the Kraus channels and its X entries, a DensityMatrix's by transfer
-    maps and the general formula (the routes of ``trace_concurrence``)."""
+    by the Kraus sum written out on its X entries, a DensityMatrix's by
+    transfer maps and the general formula (the routes of ``trace_concurrence``)."""
     if isinstance(initial, XState):
-        rho0, evolve, margins = initial.to_density(), evolve_states, _x_entry_margins
+        margins = functools.partial(_x_kraus_margins, initial, _x_rates(specs))
     else:
-        rho0, evolve, margins = initial, transfer_states, concurrence_margins
+        def margins(t):
+            return concurrence_margins(transfer_states(initial, specs, t))
     return np.concatenate([
-        margins(evolve(rho0, specs, times[lo:lo + BLOCK_TIMES]))
-        for lo in range(0, len(times), BLOCK_TIMES)
+        margins(times[lo:lo + BLOCK_TIMES]) for lo in range(0, len(times), BLOCK_TIMES)
     ])
 
 
@@ -236,10 +271,11 @@ def trace_concurrence(
     The state is propagated with the channels at each grid time (never by
     composing earlier steps), so there is no error accumulation along the
     grid, BLOCK_TIMES times at a time, which bounds memory on long grids.
-    An XState goes through the Kraus channels (``evolve_states``) and the
-    closed form on its X entries; a DensityMatrix through per-qubit transfer
-    maps (``transfer_states``) and the general formula.  The X route waits
-    for the transfer maps because they move its values by a few 1e-16.
+    An XState goes through the Kraus sum of the channels written out on its
+    five X entries, bit-identical to applying the Kraus sets
+    (``channels.evolve_states``) and reading those entries off; a
+    DensityMatrix through per-qubit transfer maps (``transfer_states``) and
+    the general formula.
     """
     specs = tuple(specs)
     times = check_times(times)

@@ -130,15 +130,32 @@ def check_densities(m, tol: Optional[float] = None) -> np.ndarray:
         )
     trace = np.trace(a, axis1=-2, axis2=-1) - 1.0
     # hypot, not np.abs: it matches the scalar abs() bit for bit
-    trace_defect = np.hypot(trace.real, trace.imag).max()
-    if trace_defect > trace_tol:
-        raise TraceError(f"trace defect {trace_defect:.3e} exceeds {trace_tol:.0e}")
-    smallest = np.linalg.eigvalsh(0.5 * (a + adjoint))[..., 0].min()
-    if smallest < -positivity_tol:
-        raise PositivityError(
-            f"smallest eigenvalue {smallest:.3e} below -{positivity_tol:.0e}"
-        )
+    _check_trace(np.hypot(trace.real, trace.imag).max(), trace_tol)
+    _check_positivity(np.linalg.eigvalsh(0.5 * (a + adjoint))[..., 0].min(), positivity_tol)
     return a
+
+
+def _check_trace(defect: float, tol: float):
+    if defect > tol:
+        raise TraceError(f"trace defect {defect:.3e} exceeds {tol:.0e}")
+
+
+def _check_positivity(smallest: float, tol: float):
+    if smallest < -tol:
+        raise PositivityError(f"smallest eigenvalue {smallest:.3e} below -{tol:.0e}")
+
+
+def check_x_densities(a, b, c, d, z):
+    """``check_densities`` on a stack of X-shaped states held as their entry
+    arrays: populations a, b, c, d and inner coherence z, laid out as in
+    ``concurrence.XState``.  Such a matrix is Hermitian by construction; its
+    trace defect is checked against TRACE_TOL, and its smallest eigenvalue,
+    the least of a, d and (b + c)/2 - hypot((b - c)/2, |z|), against
+    POSITIVITY_TOL, raising the same errors.
+    """
+    _check_trace(np.abs(a + b + c + d - 1.0).max(), TRACE_TOL)
+    inner = 0.5 * (b + c) - np.hypot(0.5 * (b - c), np.hypot(z.real, z.imag))
+    _check_positivity(np.minimum(np.minimum(a, d), inner).min(), POSITIVITY_TOL)
 
 
 def validate_density(m) -> DensityMatrix:

@@ -1,3 +1,4 @@
+import gzip
 import json
 import math
 import os
@@ -12,6 +13,7 @@ import esdlab
 from esdlab import NoiseSpec, XState
 from esdlab.cli import ConfigError, RunConfig, main
 
+GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden"
 COMBINED = ["--noise", "A:amplitude:1", "--noise", "B:amplitude:1",
             "--noise", "A:phase:1", "--noise", "B:phase:1"]
 
@@ -350,3 +352,16 @@ def test_console_entry_point():
         capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["class"] == "SUDDEN_DEATH"
+
+
+@pytest.mark.parametrize("case", [
+    "trace_phase", "trace_sweep", "esd", "diagram_i", "diagram_ii", "diagram_iii",
+])
+def test_golden_cases_are_byte_identical(case, capsys):
+    """The stored golden CLI outputs, reproduced in process byte for byte.
+    ``additivity`` and ``validate``, which spend about 0.3 s in the RK4
+    integrator, are left to bench/golden.py."""
+    manifest = json.loads((GOLDEN / "manifest.json").read_text())[case]
+    code, out, _ = run_cli(manifest["argv"], capsys)
+    assert code == manifest["exit_code"]
+    assert out.encode() == gzip.decompress((GOLDEN / f"{case}.out.gz").read_bytes())

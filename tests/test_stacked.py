@@ -1,14 +1,18 @@
 """Stacked evolution and checks against per-time loops, bit for bit.
 
-``evolve_states`` and the X-state route of ``trace_concurrence`` apply the
-Kraus matrices of a whole time grid with stacked matmuls.  The arithmetic
-is the one of the per-time loop kept here as the reference, so results
-must be equal, never merely close.  General states are traced by transfer
-maps instead, and agree with that loop to roundoff.
+``evolve_states`` applies the Kraus matrices of a whole time grid with
+stacked matmuls, and the X-state route of ``trace_concurrence`` writes
+that Kraus sum out on the five X entries.  The arithmetic is the one of
+the per-time loop kept here as the reference, so results must be equal,
+never merely close.  General states are traced by transfer maps instead,
+and agree with that loop to roundoff.
 """
 
+import itertools
 import math
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -27,8 +31,8 @@ from esdlab import (
     validate_density,
 )
 from esdlab.channels import evolve_states
-from esdlab.concurrence import BLOCK_TIMES, spin_flipped
-from esdlab.linalg import check_densities
+from esdlab.concurrence import BLOCK_TIMES, _evolved_margins, spin_flipped
+from esdlab.linalg import check_densities, check_x_densities
 
 from helpers import damping, random_density, random_x_state
 
@@ -115,8 +119,9 @@ def _trace_loop(initial, specs, times):
 
 @pytest.mark.parametrize("name", sorted(NOISE_SETS))
 def test_trace_concurrence_equals_per_point_loop(rng, name):
-    """X states take the Kraus route, bit for bit; general states take the
-    transfer maps, equal to the Kraus loop to roundoff."""
+    """X states take the Kraus sum written out on their X entries, equal to
+    the Kraus loop bit for bit; general states take the transfer maps, equal
+    to it to roundoff."""
     specs = NOISE_SETS[name]
     x = _entangled_x(rng)
     got = trace_concurrence(x, specs, GRID).values
@@ -126,6 +131,76 @@ def test_trace_concurrence_equals_per_point_loop(rng, name):
     got = trace_concurrence(rho, specs, GRID).values
     assert got.max() > 0.0
     assert np.abs(got - _trace_loop(rho, specs, GRID)).max() <= 1e-13
+
+
+def _x_entry_margins(states):
+    """2 (|z| - sqrt(max(0, a d))), read off a stack of X-shaped states: the
+    X route of trace_concurrence before it left the Kraus oracle."""
+    ad = states[:, 0, 0].real * states[:, 3, 3].real
+    z = states[:, 1, 2]
+    return 2.0 * (np.hypot(z.real, z.imag) - np.sqrt(np.where(ad > 0.0, ad, 0.0)))
+
+
+EDGE_X_RATES = (0.0, 5e-324, 1e-300, 1e300, sys.float_info.max / 4)
+SLOTS = [(q, k) for q in "AB" for k in ("amplitude", "phase")]
+
+
+def test_x_margins_equal_the_kraus_oracle_bit_for_bit(rng):
+    """Every subset of the (qubit, kind) slots, each slot with one or two
+    specs at edge or random rates, on grids that cross BLOCK_TIMES and hold
+    the edge times 0, 5e-324 and 1e300, for X states with real and complex
+    z; with warnings as errors, since a numpy-scalar rate * t overflow warns."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for subset, _ in itertools.product(range(16), range(3)):
+            rates = EDGE_X_RATES + (float(rng.uniform(0.0, 3.0)),)
+            specs = tuple(
+                NoiseSpec(q, kind, rates[i])
+                for bit, (q, kind) in enumerate(SLOTS) if subset >> bit & 1
+                for i in rng.integers(len(rates), size=rng.integers(1, 3))
+            )
+            inner = np.sort(rng.uniform(1e-3, 5.0, BLOCK_TIMES + rng.integers(1, BLOCK_TIMES)))
+            grid = np.concatenate([[0.0, 5e-324], inner, [1e300]])
+            x = random_x_state(rng)
+            real_z = XState(x.a, x.b, x.c, x.d, float(rng.choice([-1.0, 1.0]) * abs(x.z)))
+            for state in (x, real_z):
+                want = _x_entry_margins(evolve_states(state.to_density(), specs, grid))
+                assert np.array_equal(_evolved_margins(state, specs, grid), want)
+
+
+def _x_entries(rng, n):
+    """Entry arrays a, b, c, d, z of n random X states."""
+    states = [random_x_state(rng) for _ in range(n)]
+    return [np.array([getattr(x, f) for x in states]) for f in "abcdz"]
+
+
+@pytest.mark.parametrize("error, spoil", [
+    (TraceError, lambda e, i: e[0].__setitem__(i, e[0][i] + 1e-6)),
+    (PositivityError, lambda e, i: e[4].__setitem__(i, math.sqrt(e[1][i] * e[2][i]) + 1e-3)),
+])
+def test_x_entry_checks_find_one_bad_state(rng, error, spoil):
+    """check_x_densities raises what check_densities raises on the same
+    states; and trace_concurrence checks the X states it evolves."""
+    entries = _x_entries(rng, 5)
+    check_x_densities(*entries)
+    for bad in range(5):
+        spoiled = [e.copy() for e in entries]
+        spoil(spoiled, bad)
+        with pytest.raises(error):
+            check_x_densities(*spoiled)
+        a, b, c, d, z = spoiled
+        mats = np.zeros((5, 4, 4), dtype=complex)
+        mats[:, 0, 0], mats[:, 1, 1], mats[:, 2, 2], mats[:, 3, 3] = a, b, c, d
+        mats[:, 1, 2], mats[:, 2, 1] = z, z.conj()
+        with pytest.raises(error):
+            check_densities(mats)
+        for good in set(range(5)) - {bad}:
+            check_x_densities(*(e[good:good + 1] for e in spoiled))
+        x = XState(*(e[bad] for e in entries))
+        for field, value in zip("abcdz", spoiled):
+            object.__setattr__(x, field, value[bad])  # past XState's own check
+        with pytest.raises(error):
+            trace_concurrence(x, NOISE_SETS["all_four"], GRID)
 
 
 def test_stacked_product_spectrum_rows_equal_single_calls(rng):
