@@ -33,8 +33,9 @@ from .linalg import DensityMatrix, check_x_densities, kron, product_spectrum, va
 SCAN_POINTS = 512
 SCAN_BLOCK = 32  # X states scanned at a time: bounds the (block, grid) temporaries
 ESD_RESOLUTION = 1e-10
-# grid times trace_concurrence evolves at once: bounds the (block, 4, 4) transfer
-# stacks of a general state and the per-time factor arrays of an X state
+# grid times trace_concurrence evolves, and esd_time scans, at once: bounds the
+# (block, 4, 4) transfer stacks of a general state and the per-time factor arrays
+# of an X state
 BLOCK_TIMES = 64
 # slack on XState's population sum and |z| <= sqrt(b c), and on diagram_grid's |z| clamp
 XSTATE_TOL = 1e-12
@@ -256,9 +257,10 @@ def _evolved_margins(initial, specs: tuple, times) -> np.ndarray:
     else:
         def margins(t):
             return concurrence_margins(transfer_states(initial, specs, t))
-    return np.concatenate([
-        margins(times[lo:lo + BLOCK_TIMES]) for lo in range(0, len(times), BLOCK_TIMES)
-    ])
+    out = np.empty(len(times))
+    for lo in range(0, len(times), BLOCK_TIMES):
+        out[lo:lo + BLOCK_TIMES] = margins(times[lo:lo + BLOCK_TIMES])
+    return out
 
 
 def trace_concurrence(
@@ -281,20 +283,22 @@ def trace_concurrence(
     times = check_times(times)
     if not len(times) or np.any(np.diff(times) <= 0):
         raise ValueError("need a nonempty ascending time grid")
-    margins = _evolved_margins(initial, specs, times)
-    values = np.where(margins > 0.0, margins, 0.0)
+    values = _evolved_margins(initial, specs, times)
+    values[~(values > 0.0)] = 0.0  # NaN and -0.0 become 0.0 too
     return ConcurrenceTrace(times=times, values=values, specs=specs, initial=initial)
 
 
 def first_root(margin, grid, values) -> list[Optional[float]]:
     """First sign change of each row of ``values``, margins on ``grid`` that start > 0.
 
-    ``values`` is an (n, m) array or an iterable of (k, m) row blocks.  Each
-    row's bracket [grid[idx - 1], grid[idx]] around its first nonpositive
-    value is bisected on ``margin(rows, t)``, the margins of those rows at
-    their own times, all rows in lockstep, each down to ESD_RESOLUTION or to
-    adjacent floats.  Returns per row the nonpositive end of the bracket, or
-    None when the row has no nonpositive value.
+    ``values`` is an (n, m) array or an iterable of (k, m) row blocks, with
+    m <= len(grid): a row may end after its first nonpositive value, since
+    nothing past it is read.  Each row's bracket [grid[idx - 1], grid[idx]]
+    around its first nonpositive value is bisected on ``margin(rows, t)``,
+    the margins of those rows at their own times, all rows in lockstep, each
+    down to ESD_RESOLUTION or to adjacent floats.  Returns per row the
+    nonpositive end of the bracket, or None when the row has no nonpositive
+    value.
     """
     found = [np.zeros(0, dtype=np.intp)]
     for block in values:
@@ -329,13 +333,18 @@ def esd_time(
 ) -> Optional[float]:
     """Smallest time at which the concurrence hits zero.
 
-    The signed margin is scanned on SCAN_POINTS points in (0, t_max] and its
-    first sign change is bisected to ESD_RESOLUTION by ``first_root``, with
-    the one row of this state.  Concurrence never increases under these
-    local semigroup channels (Wootters, PRL 80, 2245 (1998)), so that zero
-    stays zero and needs no check past it.  Returns None when the margin
-    stays positive on the whole grid, and raises SeparableStateError when
-    there is nothing to lose at t = 0.
+    The margin is probed at t = 0 first, so SeparableStateError comes
+    before any error of a later time.  The grid
+    ``linspace(0, t_max, SCAN_POINTS + 1)`` is then scanned BLOCK_TIMES
+    times at a time, in order, and the scan stops after the first block
+    holding a nonpositive margin past t = 0; ``first_root`` bisects that
+    first sign change to ESD_RESOLUTION, on the one row of this state, and
+    reads nothing past it, so the blocks left unscanned change no bit.
+    Concurrence never increases under these local semigroup channels
+    (Wootters, PRL 80, 2245 (1998)), so that zero stays zero and needs no
+    check past it.  Returns None when the margin stays positive on the
+    whole grid, and raises SeparableStateError when there is nothing to
+    lose at t = 0.
 
     For a DensityMatrix the margin is read off the evolved 4x4 matrix, so
     there is a precision floor: once the concurrence is below the roundoff
@@ -352,7 +361,13 @@ def esd_time(
     if margins_at(np.zeros(1))[0] <= 0.0:
         raise SeparableStateError("initial state is separable (zero concurrence)")
     grid = np.linspace(0.0, t_max, SCAN_POINTS + 1)
-    return first_root(lambda _, t: margins_at(t), grid, [margins_at(grid)])[0]
+    margins = np.empty_like(grid)
+    for lo in range(0, len(grid), BLOCK_TIMES):
+        hi = lo + BLOCK_TIMES
+        margins[lo:hi] = margins_at(grid[lo:hi])
+        if (margins[1:hi] <= 0.0).any():  # first_root reads no hit at t = 0 either
+            break
+    return first_root(lambda _, t: margins_at(t), grid, [margins[:hi]])[0]
 
 
 class DecayKind(Enum):

@@ -215,8 +215,11 @@ def test_esd_time_none_for_phase_only():
 
 
 def test_esd_time_guards():
-    with pytest.raises(SeparableStateError):
-        esd_time(XState(0.5, 0.25, 0.25, 0.0, 0.0), symmetric("phase", 1.0), 5.0)
+    # a separable start raises at any horizon, on the X and the general route
+    for state in (XState(0.5, 0.25, 0.25, 0.0, 0.0), validate_density(np.eye(4) / 4)):
+        for t_max in (5e-324, 5.0, 1e300):
+            with pytest.raises(SeparableStateError):
+                esd_time(state, symmetric("phase", 1.0), t_max)
     with pytest.raises(ValueError):
         esd_time(lambda_state(4.0), (), 0.0)
 

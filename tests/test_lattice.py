@@ -4,16 +4,41 @@
 cells at a time, and bisects all brackets in lockstep through
 ``first_root``.  The arithmetic per cell is the per-cell scan-and-bisect
 kept here as the reference, so cells must be equal, never merely close.
+``esd_time`` scans one state's grid a block of times at a time and stops
+after the block where it dies; the same reference, run over the whole
+grid, must give its root bit for bit.
 """
 
+import functools
+import importlib
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from esdlab import DecayKind, NoiseSpec, XState, concurrence_x, diagram_grid
-from esdlab.concurrence import ESD_RESOLUTION, SCAN_BLOCK, SCAN_POINTS, first_root
+from esdlab import (
+    DecayKind,
+    NoiseSpec,
+    XState,
+    concurrence_x,
+    diagram_grid,
+    esd_time,
+)
+from esdlab.concurrence import (
+    BLOCK_TIMES,
+    ESD_RESOLUTION,
+    SCAN_BLOCK,
+    SCAN_POINTS,
+    _evolved_margins,
+    _x_entries,
+    _x_margins,
+    _x_rates,
+    first_root,
+)
+
+from helpers import random_density, random_x_state
 
 KINDS = ("amplitude", "phase")
 PANELS = {"i": ("amplitude",), "ii": ("phase",), "iii": ("amplitude", "phase")}
@@ -188,3 +213,86 @@ def test_first_root_stops_at_adjacent_floats():
 def test_first_root_without_rows():
     assert first_root(None, np.linspace(0.0, 1.0, 5), np.zeros((0, 5))) == []
     assert first_root(None, np.linspace(0.0, 1.0, 5), []) == []
+
+
+def _margins_at(state, specs):
+    """esd_time's margin route: the X-entry margins or the evolved general ones."""
+    if isinstance(state, XState):
+        return functools.partial(_x_margins, _x_entries(state), _x_rates(specs))
+    return functools.partial(_evolved_margins, state, specs)
+
+
+def _full_scan(state, specs, t_max):
+    """(root, first hit index or None) of the reference over all SCAN_POINTS + 1 margins."""
+    margins_at = _margins_at(state, specs)
+    grid = np.linspace(0.0, t_max, SCAN_POINTS + 1)
+    values = margins_at(grid)
+    hits = np.flatnonzero(values[1:] <= 0.0)
+    root = _first_root_1d(lambda t: margins_at(np.array([t]))[0], grid, values, ESD_RESOLUTION)
+    return root, 1 + int(hits[0]) if len(hits) else None
+
+
+def _dying_state(rng, route):
+    """A seeded X or general state that dies under all four noise kinds, its
+    specs and its death time."""
+    specs = tuple(NoiseSpec(q, kind, rng.uniform(0.5, 2.0))
+                  for kind in ("amplitude", "phase") for q in "AB")
+    while True:
+        state = random_x_state(rng) if route == "x" else random_density(rng, 4)
+        if _margins_at(state, specs)(np.zeros(1))[0] > 0.0:
+            t_star = esd_time(state, specs, 40.0)
+            if t_star is not None:
+                return state, specs, t_star
+
+
+def _t_max_for(t_star, index):
+    """A horizon whose grid puts t_star strictly inside (grid[index - 1], grid[index])."""
+    return SCAN_POINTS * t_star / (index - 0.5)
+
+
+@pytest.mark.parametrize("route", ["x", "general"])
+def test_esd_time_equals_the_full_scan_reference(rng, route):
+    # deaths in block 0, on both sides of the first block edge and at the
+    # last grid point, horizons too short to see the death, and the float ends
+    for _ in range(2):
+        state, specs, t_star = _dying_state(rng, route)
+        for index in (1, 10, 64, 65, 300, 512):
+            t_max = _t_max_for(t_star, index)
+            root, hit = _full_scan(state, specs, t_max)
+            assert hit == index
+            assert repr(esd_time(state, specs, t_max)) == repr(root)
+        for t_max in (0.5 * t_star, 5e-324):
+            assert _full_scan(state, specs, t_max) == (None, None)
+            assert esd_time(state, specs, t_max) is None
+    root, hit = _full_scan(state, specs, 1e300)
+    assert hit == 1 and repr(esd_time(state, specs, 1e300)) == repr(root)
+
+
+@pytest.mark.parametrize("route", ["x", "general"])
+def test_esd_time_scans_no_block_past_the_death(monkeypatch, rng, route):
+    """The t = 0 probe runs first; then the scan evaluates each grid time
+    once, in order, up to the end of the block holding the first
+    nonpositive margin, and the bisection evaluates no grid time."""
+    state, specs, t_star = _dying_state(rng, route)
+    module = importlib.import_module("esdlab.concurrence")  # esdlab.concurrence is a function
+    name = "_x_margins" if route == "x" else "_evolved_margins"
+    real, calls = getattr(module, name), []
+
+    def counted(*args):
+        calls.append(np.asarray(args[-1]))
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    for index in (None, 1, 63, 64, 65, 128, 300, 512):
+        t_max = 0.5 * t_star if index is None else _t_max_for(t_star, index)
+        grid = np.linspace(0.0, t_max, SCAN_POINTS + 1)
+        scanned = SCAN_POINTS + 1 if index is None else min(
+            BLOCK_TIMES * (index // BLOCK_TIMES + 1), SCAN_POINTS + 1)
+        assert _full_scan(state, specs, t_max)[1] == index
+        calls.clear()
+        t = esd_time(state, specs, t_max)
+        assert (t is None) == (index is None)
+        assert calls[0].tolist() == [0.0]
+        scan = list(itertools.takewhile(lambda c: np.isin(c, grid).all(), calls[1:]))
+        assert np.array_equal(np.concatenate(scan), grid[:scanned]), index
+        assert not any(np.isin(c, grid).any() for c in calls[1 + len(scan):])
