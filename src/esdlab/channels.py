@@ -4,7 +4,7 @@ Conventions
 -----------
 A channel is built for a rate G and an elapsed time t.  ``_kind_stack``
 builds the Kraus pair {diag(gamma, 1), K1} of either kind on a whole time
-grid; both kinds share the damping factor
+grid; both kinds share the damping pair of ``_damping``
 
     gamma(G, t) = exp(-G * t / 2),      omega = sqrt(1 - gamma**2).
 
@@ -150,15 +150,21 @@ def fold_rates(specs: Iterable[NoiseSpec]) -> dict:
     return rates
 
 
-def _kind_stack(kind: str, rate: float, times: Sequence[float]) -> np.ndarray:
-    """(n_t, 2, 2, 2) Kraus pairs of one kind at checked float times: diag(gamma, 1)
-    with gamma = exp(-rate t / 2), and omega = sqrt(1 - gamma^2) in K1 at |-><+|
-    for amplitude, at |+><+| for phase."""
-    check_rates(rate=rate)
+def _damping(rate: float, times: Sequence[float]) -> tuple:
+    """(gamma, omega) arrays of one kind at a checked rate and checked float times:
+    gamma = exp(-rate t / 2) over Python floats (an overflowing rate * t is -inf,
+    silently) and omega = sqrt(max(0, 1 - gamma^2))."""
     gamma = np.array([math.exp(-0.5 * rate * t) for t in times])
+    return gamma, np.sqrt(np.maximum(0.0, 1.0 - gamma * gamma))
+
+
+def _kind_stack(kind: str, rate: float, times: Sequence[float]) -> np.ndarray:
+    """(n_t, 2, 2, 2) Kraus pairs of one kind from ``_damping``: diag(gamma, 1),
+    and omega in K1 at |-><+| for amplitude, at |+><+| for phase."""
+    gamma, omega = _damping(rate, times)
     ops = np.zeros((len(gamma), 2, 2, 2), dtype=np.complex128)
     ops[:, 0, 0, 0], ops[:, 0, 1, 1] = gamma, 1.0
-    ops[:, 1, 1 if kind == "amplitude" else 0, 0] = np.sqrt(np.maximum(0.0, 1.0 - gamma * gamma))
+    ops[:, 1, 1 if kind == "amplitude" else 0, 0] = omega
     return ops
 
 

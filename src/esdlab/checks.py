@@ -19,6 +19,7 @@ from .channels import (
     _kind_stack,
     _kraus_sum,
     _rk4_runs,
+    check_rates,
     check_times,
     evolve_states,
 )
@@ -36,9 +37,13 @@ from .linalg import check_densities, validate_density
 LAMBDAS = (1.0, 2.0, 3.0, 3.5, 4.0)
 RATES = (0.5, 1.0, 2.0)
 N_TIMES = 50
-# pass rule of the additivity check: Kraus route and RK4 route against the law
-ADDITIVITY_KRAUS_TOL = 1e-10
-ADDITIVITY_LINDBLAD_TOL = 1e-6
+# one tolerance per class of check: a Kraus route against a closed-form law,
+# agreement at roundoff level, the numerical witness t* against the closed
+# form's, and an RK4 route against the law or the Kraus oracle
+KRAUS_LAW_TOL = 1e-10
+ROUNDOFF_TOL = 1e-12
+WITNESS_TOL = 1e-8
+RK4_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -78,7 +83,7 @@ def _additivity_runs(pairs, times, dt=DEFAULT_DT) -> list[dict]:
         analytic = [0.5 * coherence_factor(gamma1, gamma2, t) for t in times]
         dev_kraus = max(abs(k - a) for k, a in zip(k_route, analytic))
         dev_lind = max(abs(l - a) for l, a in zip(lindblad, analytic))
-        passed = dev_kraus <= ADDITIVITY_KRAUS_TOL and dev_lind <= ADDITIVITY_LINDBLAD_TOL
+        passed = dev_kraus <= KRAUS_LAW_TOL and dev_lind <= RK4_TOL
         out.append({"times": times, "kraus": k_route, "lindblad": lindblad,
                     "analytic": analytic, "max_dev_kraus": dev_kraus,
                     "max_dev_lindblad": dev_lind, "pass": bool(passed)})
@@ -94,9 +99,11 @@ def additivity_series(gamma1: float, gamma2: float, times, dt=DEFAULT_DT) -> dic
     half-rate channel convention (see :mod:`esdlab.channels`).  All three
     routes must land on 0.5 * exp(-(gamma1/2 + gamma2) t); the result also
     holds each numeric route's worst deviation from the analytic one and
-    the pass verdict against ADDITIVITY_KRAUS_TOL and ADDITIVITY_LINDBLAD_TOL.
-    The validate suite steps the RK4 runs of its pairs, on one grid, in lockstep.
+    the pass verdict against KRAUS_LAW_TOL and RK4_TOL.  A bad rate, or an
+    overflowing doubled one, raises ValueError naming it.  The validate
+    suite steps the RK4 runs of its pairs, on one grid, in lockstep.
     """
+    check_rates(gamma1=gamma1, gamma2=gamma2, **{"2 * gamma2": 2 * gamma2})
     return _additivity_runs([(gamma1, gamma2)], times, dt)[0]
 
 
@@ -106,8 +113,8 @@ def _check_additivity_suite() -> list[CheckResult]:
     worst_k = max(series["max_dev_kraus"] for series in suite)
     worst_l = max(series["max_dev_lindblad"] for series in suite)
     return [
-        _result("additivity_kraus_vs_analytic", worst_k, ADDITIVITY_KRAUS_TOL),
-        _result("additivity_lindblad_vs_analytic", worst_l, ADDITIVITY_LINDBLAD_TOL),
+        _result("additivity_kraus_vs_analytic", worst_k, KRAUS_LAW_TOL),
+        _result("additivity_lindblad_vs_analytic", worst_l, RK4_TOL),
     ]
 
 
@@ -130,7 +137,7 @@ def _check_phase_law() -> CheckResult:
     times = np.linspace(0.0, 5.0, N_TIMES)
     cases = ((lam, _symmetric("phase", rate), times, partial(phase_concurrence, lam, rate))
              for lam in LAMBDAS for rate in RATES)
-    return _result("phase_noise_concurrence", _worst_vs_law(cases), 1e-10)
+    return _result("phase_noise_concurrence", _worst_vs_law(cases), KRAUS_LAW_TOL)
 
 
 def _check_amplitude_elements() -> CheckResult:
@@ -148,7 +155,7 @@ def _check_amplitude_elements() -> CheckResult:
                     abs(m[0, 0].real - a),
                     abs(m[3, 3].real - d),
                 )
-    return _result("amplitude_noise_elements", worst, 1e-12)
+    return _result("amplitude_noise_elements", worst, ROUNDOFF_TOL)
 
 
 def _check_amplitude_law() -> list[CheckResult]:
@@ -159,7 +166,7 @@ def _check_amplitude_law() -> list[CheckResult]:
     survived = all(classify(lambda_state(lam), specs).t_star is None
                    for lam, specs, _, _ in cases)
     return [
-        _result("amplitude_noise_concurrence", _worst_vs_law(cases), 1e-10),
+        _result("amplitude_noise_concurrence", _worst_vs_law(cases), KRAUS_LAW_TOL),
         CheckResult("amplitude_noise_no_death", survived, 0.0 if survived else 1.0, 0.0),
     ]
 
@@ -169,7 +176,7 @@ def _check_combined_law() -> CheckResult:
     cases = ((lam, _symmetric("amplitude", g1) + _symmetric("phase", g2), times,
               partial(combined_concurrence, lam, g1, g2))
              for lam in LAMBDAS for g1 in RATES for g2 in RATES)
-    return _result("combined_noise_concurrence", _worst_vs_law(cases), 1e-10)
+    return _result("combined_noise_concurrence", _worst_vs_law(cases), KRAUS_LAW_TOL)
 
 
 def _check_reductions() -> CheckResult:
@@ -192,7 +199,7 @@ def _check_reductions() -> CheckResult:
                             - amplitude_concurrence(lam, rate, t)
                         ),
                     )
-    return _result("closed_form_reductions", worst, 1e-12)
+    return _result("closed_form_reductions", worst, ROUNDOFF_TOL)
 
 
 def _check_witness() -> CheckResult:
@@ -209,7 +216,7 @@ def _check_witness() -> CheckResult:
         if classify(state, _symmetric("phase", 1.0)).t_star is not None:
             violations += 1
         t_num = classify(state, _symmetric("amplitude", 1.0) + _symmetric("phase", 1.0)).t_star
-        if t_num is None or both is None or abs(t_num - both) > 1e-8:
+        if t_num is None or both is None or abs(t_num - both) > WITNESS_TOL:
             violations += 1
     return CheckResult(
         "non_additivity_witness", violations == 0, float(violations), 0.0
@@ -255,7 +262,7 @@ def check_kraus_lindblad(specs, times) -> float:
 
 def _check_equivalence() -> CheckResult:
     worst = max(_kraus_lindblad_devs(EQUIVALENCE_PLACEMENTS, (0.5, 1.5)))
-    return _result("kraus_vs_lindblad", worst, 1e-6)
+    return _result("kraus_vs_lindblad", worst, RK4_TOL)
 
 
 def run_validation():

@@ -24,6 +24,7 @@ from .concurrence import (
     DecayKind,
     SeparableStateError,
     XState,
+    _horizon,
     diagram_grid,
     esd_time,
     lambda_state,
@@ -55,11 +56,11 @@ class RunConfig:
     state: Optional[XState] = None
     lam: Optional[float] = None
     noises: tuple = ()
-    t_max: float = 5.0
+    t_max: Optional[float] = None  # None: trace ends at 5.0, esd at its default horizon
     samples: int = 100
 
     def __post_init__(self):
-        if not (_finite(self.t_max) and self.t_max > 0):
+        if self.t_max is not None and not (_finite(self.t_max) and self.t_max > 0):
             raise ConfigError(f"t_max must be finite and > 0, got {self.t_max!r}")
         if self.lam is not None and not _finite(self.lam):
             raise ConfigError(f"lambda must be finite, got {self.lam!r}")
@@ -90,23 +91,36 @@ class RunConfig:
         unknown = set(data) - _CONFIG_KEYS
         if unknown:
             raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
-        state = None
+        given = {key: _number(data[key], key) for key in ("t_max", "samples") if key in data}
+        if "lambda" in data:
+            given["lam"] = _number(data["lambda"], "lambda")
         if "state" in data:
             s = data["state"]
             try:
-                state = XState(
-                    s["a"], s["b"], s["c"], s["d"], complex(s["z_re"], s["z_im"])
-                )
+                a, b, c, d, z_re, z_im = (_number(s[k], "state " + k)
+                                          for k in ("a", "b", "c", "d", "z_re", "z_im"))
+                given["state"] = XState(a, b, c, d, complex(z_re, z_im))
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"bad state block: {exc}") from exc
+        rows = data.get("noises", [])
+        if not isinstance(rows, list):
+            raise ConfigError(f"noises must be an array, got {json.dumps(rows)}")
         noises = []
-        for row in data.get("noises", []):
+        for row in rows:
             try:
-                noises.append(NoiseSpec(row["target"], row["kind"], row["rate"]))
+                rate = _number(row["rate"], "noise rate")
+                noises.append(NoiseSpec(row["target"], row["kind"], rate))
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"bad noise entry {row!r}: {exc}") from exc
-        given = {key: data[key] for key in ("t_max", "samples") if key in data}
-        return cls(state=state, lam=data.get("lambda"), noises=tuple(noises), **given)
+        return cls(noises=tuple(noises), **given)
+
+
+def _number(value, name: str):
+    """A number of the config file as it is, or a ConfigError naming it: JSON
+    true and false are not numbers, though Python's bool is an int."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {json.dumps(value)}")
+    return value
 
 
 def _finite(value) -> bool:
@@ -195,7 +209,8 @@ def cmd_trace(args) -> int:
         if args.sweep_lambda and value is not None:
             raise ConfigError(f"give either --sweep-lambda or {flag}, not both")
     cfg = load_config(args)
-    times = _grid(cfg.t_max, cfg.samples, "--t-max and --samples")
+    t_max = 5.0 if cfg.t_max is None else cfg.t_max
+    times = _grid(t_max, cfg.samples, "--t-max and --samples")
     if args.sweep_lambda:
         if args.sweep_lambda < 1:
             raise ConfigError("--sweep-lambda needs at least one value")
@@ -218,8 +233,12 @@ def cmd_trace(args) -> int:
 def cmd_esd(args) -> int:
     cfg = load_config(args)
     state = cfg.initial_state()
-    t_star = esd_time(state, cfg.noises, cfg.t_max)  # raises on a separable state
-    report: dict = {"t_max": cfg.t_max}
+    try:  # checked before the separable probe, as in esd_time
+        t_max = _horizon(cfg.noises, cfg.t_max)
+    except ValueError as exc:
+        raise ConfigError(f"{exc}; give --t-max") from exc
+    t_star = esd_time(state, cfg.noises, t_max)  # raises on a separable state
+    report: dict = {"t_max": t_max}
     if t_star is None:
         report["class"] = DecayKind.EXPONENTIAL.value
     else:
@@ -254,21 +273,17 @@ def cmd_diagram(args) -> int:
 
 
 def cmd_additivity(args) -> int:
-    if args.gamma1 < 0 or args.gamma2 < 0:
-        raise ConfigError("rates must be >= 0")
     if args.samples < 2:
         raise ConfigError("need at least two samples")
     if args.t_max <= 0:
         raise ConfigError(f"--t-max must be > 0, got {args.t_max}")
-    if args.dt <= 0:
-        raise ConfigError(f"--dt must be > 0, got {args.dt}")
-    if not math.isfinite(2 * args.gamma2):
+    if 2 * args.gamma2 == math.inf:
         raise ConfigError(f"--gamma2 {args.gamma2} is too large: the RK4 route "
                           "runs at the doubled phase rate 2 * gamma2, which overflows")
     times = _grid(args.t_max, args.samples, "--t-max and --samples")
     try:
         series = additivity_series(args.gamma1, args.gamma2, times, dt=args.dt)
-    except ValueError as exc:  # a rate or step the RK4 route cannot take
+    except ValueError as exc:  # a bad rate or dt, or a run the RK4 route cannot take
         raise ConfigError(str(exc)) from exc
     _emit_json(args, {"gamma1": args.gamma1, "gamma2": args.gamma2, **series})
     return EXIT_OK

@@ -22,6 +22,7 @@ from .channels import (
     KINDS,
     TARGETS,
     NoiseSpec,
+    _damping,
     check_time,
     check_times,
     fold_rates,
@@ -205,20 +206,6 @@ class ConcurrenceTrace:
         object.__setattr__(self, "specs", tuple(self.specs))
 
 
-def _qubit_factors(amp: float, phase: float, times: list) -> tuple:
-    """(u, s, w) of one qubit at its summed rates: the nonzero entries of its
-    composed Kraus ops diag(u, 1), s |+><+| and w |-><+| (the fourth op is 0),
-    computed as ``channels._kind_stack`` computes gamma and omega per kind,
-    with rate 0 for an absent kind (gamma = 1, omega = 0)."""
-    factors = []
-    for rate in (amp, phase):
-        # Python floats, not numpy scalars: an overflowing rate * t is -inf, silently
-        gamma = np.array([math.exp(-0.5 * rate * t) for t in times])
-        factors.append((gamma, np.sqrt(np.maximum(0.0, 1.0 - gamma * gamma))))
-    (g_amp, w_amp), (g_ph, w_ph) = factors
-    return g_ph * g_amp, w_ph * g_amp, w_amp
-
-
 def _x_kraus_margins(x: XState, rates: list[float], times: np.ndarray) -> np.ndarray:
     """Margins 2 (|z| - sqrt(max(0, a d))) of an X state evolved to ``times``.
 
@@ -227,11 +214,14 @@ def _x_kraus_margins(x: XState, rates: list[float], times: np.ndarray) -> np.nda
     nonzero entry per row, so each entry of K rho K^dag is one product
     (k p) k plus exact zeros, and the terms add in op order.  The evolved
     entries are checked as ``check_densities`` checks the evolved states.
+    Qubit q's composed ops diag(u, 1), s |+><+|, w |-><+| (and 0) come from
+    ``channels._damping`` at its summed rates, 0 for an absent kind.
     """
-    amp_a, amp_b, ph_a, ph_b = rates
     times = times.tolist()
-    ua, sa, wa = _qubit_factors(amp_a, ph_a, times)
-    ub, sb, wb = _qubit_factors(amp_b, ph_b, times)
+    (g_amp_a, wa), (g_amp_b, wb), (g_ph_a, w_ph_a), (g_ph_b, w_ph_b) = (
+        _damping(rate, times) for rate in rates)
+    ua, sa = g_ph_a * g_amp_a, w_ph_a * g_amp_a
+    ub, sb = g_ph_b * g_amp_b, w_ph_b * g_amp_b
     a, b, c, d = x.a, x.b, x.c, x.d
 
     def sq(k, p):
@@ -321,20 +311,30 @@ def first_root(margin, grid, values) -> list[Optional[float]]:
     return [t if i else None for i, t in zip(idx.tolist(), roots.tolist())]
 
 
-def _check_horizon(t_max: float):
+def _horizon(specs: tuple, t_max: Optional[float]) -> float:
+    """``t_max`` checked, or the default horizon 20 / min(active rate), 1.0 with
+    no active rate.  A heuristic, not a bound: exp(-20), about 2.06e-9, is not
+    below every tolerance in use, and a death past the horizon reads EXPONENTIAL."""
+    if t_max is None:
+        active = [s.rate for s in specs if s.rate > 0]
+        t_max = 20.0 / min(active) if active else 1.0
+        if not math.isfinite(t_max):
+            raise ValueError(f"rate {min(active)!r} is too small for the default horizon 20 / rate")
     if not (math.isfinite(t_max) and t_max > 0):
         raise ValueError(f"t_max must be finite and > 0, got {t_max}")
+    return t_max
 
 
 def esd_time(
     initial: Union[XState, DensityMatrix],
     specs: Iterable[NoiseSpec],
-    t_max: float,
+    t_max: Optional[float] = None,
 ) -> Optional[float]:
-    """Smallest time at which the concurrence hits zero.
+    """Smallest time at which the concurrence hits zero, up to ``t_max`` or,
+    when that is None, up to the default horizon of ``_horizon``.
 
-    The margin is probed at t = 0 first, so SeparableStateError comes
-    before any error of a later time.  The grid
+    The horizon is checked first, and the margin is then probed at t = 0,
+    so SeparableStateError comes before any error of a later time.  The grid
     ``linspace(0, t_max, SCAN_POINTS + 1)`` is then scanned BLOCK_TIMES
     times at a time, in order, and the scan stops after the first block
     holding a nonpositive margin past t = 0; ``first_root`` bisects that
@@ -353,7 +353,7 @@ def esd_time(
     ``_x_margins`` instead, which divides out the decay its terms share.
     """
     specs = tuple(specs)
-    _check_horizon(t_max)
+    t_max = _horizon(specs, t_max)
     if isinstance(initial, XState):
         margins_at = functools.partial(_x_margins, _x_entries(initial), _x_rates(specs))
     else:
@@ -391,17 +391,6 @@ class DecayClass:
             raise ValueError("t_star must be > 0")
 
 
-def _horizon(specs: tuple, t_max: Optional[float]) -> float:
-    """``t_max`` checked, or 20 / min(active rate): exp(-20) is below every tolerance in use."""
-    if t_max is None:
-        active = [s.rate for s in specs if s.rate > 0]
-        t_max = 20.0 / min(active) if active else 1.0
-        if not math.isfinite(t_max):
-            raise ValueError(f"rate {min(active)!r} is too small for the default horizon 20 / rate")
-    _check_horizon(t_max)
-    return t_max
-
-
 def classify(
     x: XState, specs: Iterable[NoiseSpec], t_max: Optional[float] = None
 ) -> DecayClass:
@@ -412,7 +401,7 @@ def classify(
     fold_rates(specs)  # an overflowing summed rate raises here too, as on every route
     if concurrence_x(x) == 0.0:
         return DecayClass(DecayKind.SEPARABLE_AT_START)
-    t_star = esd_time(x, specs, _horizon(specs, t_max))
+    t_star = esd_time(x, specs, t_max)
     if t_star is None:
         return DecayClass(DecayKind.EXPONENTIAL)
     return DecayClass(DecayKind.SUDDEN_DEATH, t_star)

@@ -155,6 +155,15 @@ def test_apply_channel_guards():
         apply_channel(broken, PLUS_X)
 
 
+def test_kraus_channel_refuses_a_bad_dimension_or_no_ops():
+    with pytest.raises(ValueError, match="dim must be 2 or 4, got 3"):
+        KrausChannel(3, (np.eye(3),))
+    with pytest.raises(ValueError, match="a channel needs at least one Kraus matrix"):
+        KrausChannel(2, ())
+    with pytest.raises(ValueError, match="expected dimension in"):
+        KrausChannel(2, (np.eye(4),))
+
+
 def test_apply_preserves_trace_and_positivity(rng):
     for _ in range(1000):
         t = rng.uniform(0.0, 3.0)

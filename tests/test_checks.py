@@ -3,13 +3,14 @@ import sys
 import numpy as np
 import pytest
 
+from esdlab import checks
 from esdlab.checks import (
-    ADDITIVITY_KRAUS_TOL,
-    ADDITIVITY_LINDBLAD_TOL,
+    KRAUS_LAW_TOL,
+    RK4_TOL,
     _check_witness,
     additivity_series,
 )
-from esdlab.concurrence import first_root
+from esdlab.concurrence import DecayClass, DecayKind, first_root
 
 # rates on which RK4 trace drift reached 1.00-1.06e-12 at some grid time,
 # past the strict 1e-12 trace bound that integrated states were once held to
@@ -30,8 +31,8 @@ def test_additivity_series_tolerates_rk4_trace_drift(gamma1, gamma2):
 
 def test_additivity_series_verdict_follows_its_deviations():
     series = additivity_series(1.0, 0.5, np.linspace(0, 2, 5), dt=1e-3)
-    for route, key, tol in (("kraus", "max_dev_kraus", ADDITIVITY_KRAUS_TOL),
-                            ("lindblad", "max_dev_lindblad", ADDITIVITY_LINDBLAD_TOL)):
+    for route, key, tol in (("kraus", "max_dev_kraus", KRAUS_LAW_TOL),
+                            ("lindblad", "max_dev_lindblad", RK4_TOL)):
         want = max(abs(v - a) for v, a in zip(series[route], series["analytic"]))
         assert series[key] == want <= tol
     assert series["pass"] is True
@@ -54,3 +55,29 @@ def test_witness_does_not_share_the_numerical_root_finder(monkeypatch):
                     patched.append(f"{key}.{attr}")
     assert _check_witness().passed is False
     assert patched == ["esdlab.concurrence.first_root"]
+
+
+@pytest.mark.parametrize("branch", ["closed_form", "amplitude_only", "phase_only"])
+def test_witness_counts_each_violation(branch, monkeypatch):
+    # each branch broken for every lambda, the other branches left as they are
+    if branch == "closed_form":  # the closed form finds no death under both noises
+        real = checks.combined_death_time
+
+        def patched(lam, rate_amp, rate_phase):
+            return None if rate_amp and rate_phase else real(lam, rate_amp, rate_phase)
+
+        monkeypatch.setattr(checks, "combined_death_time", patched)
+    else:  # the numerical route reports a death under one noise alone
+        real = checks.classify
+        kind = branch.split("_")[0]
+
+        def patched(state, specs):
+            if {s.kind for s in specs} == {kind}:
+                return DecayClass(DecayKind.SUDDEN_DEATH, 1.0)
+            return real(state, specs)
+
+        monkeypatch.setattr(checks, "classify", patched)
+    result = _check_witness()
+    assert result.passed is False
+    # a closed form that finds no death also fails the t* comparison
+    assert result.worst == (6.0 if branch == "closed_form" else 3.0)

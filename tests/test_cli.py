@@ -108,6 +108,32 @@ def test_esd_separable_exit_code(capsys):
     assert "separable" in err
 
 
+def test_esd_without_t_max_scans_to_the_default_horizon(capsys):
+    # 20 / 0.1 = 200; the fixed 5.0 it once scanned to read EXPONENTIAL here
+    noise = [arg for q in "AB" for kind in ("amplitude", "phase")
+             for arg in ("--noise", f"{q}:{kind}:0.1")]
+    code, out, err = run_cli(["esd", "--lambda", "4"] + noise, capsys)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    specs = [NoiseSpec(q, kind, 0.1) for q in "AB" for kind in ("amplitude", "phase")]
+    want = esdlab.classify(esdlab.lambda_state(4.0), specs).t_star
+    assert report == {"class": "SUDDEN_DEATH", "t_max": 200.0, "t_star": want}
+    code, out, _ = run_cli(["esd", "--lambda", "4", "--t-max", "5"] + noise, capsys)
+    assert json.loads(out) == {"class": "EXPONENTIAL", "t_max": 5.0}
+
+
+def test_esd_rate_whose_horizon_overflows_exits_2(capsys):
+    # 20 / 5e-324 is inf; the horizon is checked before the separable probe
+    for state in (["--lambda", "4"], ["--state", "0.25,0.25,0.25,0.25,0,0"]):
+        code, out, err = run_cli(["esd", *state, "--noise", "A:phase:5e-324"], capsys)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: rate 5e-324")
+        assert "--t-max" in err
+    code, out, _ = run_cli(["esd", "--lambda", "4", "--noise", "A:phase:5e-324",
+                            "--t-max", "1"], capsys)
+    assert code == 0 and json.loads(out) == {"class": "EXPONENTIAL", "t_max": 1.0}
+
+
 def test_diagram_small_grid(capsys):
     code, out, _ = run_cli(
         ["diagram", "--panel", "ii", "--resolution", "8"], capsys)
@@ -250,6 +276,60 @@ def test_non_finite_config_values_exit_2(tmp_path, capsys):
         code, out, err = run_cli(["trace", "--config", str(path)], capsys)
         assert code == 2, key
         assert out == "" and len(err.splitlines()) == 1
+
+
+NOISE_ROW = {"target": "A", "kind": "phase", "rate": 1.0}
+STATE_BLOCK = {"a": 0.1, "b": 0.4, "c": 0.4, "d": 0.1, "z_re": 0.3, "z_im": 0.0}
+
+
+@pytest.mark.parametrize("data, message", [
+    ([{"lambda": 4.0}], "configuration must be a JSON object"),
+    ({"lambda": 4.0, "noises": 3}, "noises must be an array, got 3"),
+    ({"lambda": 4.0, "noises": None}, "noises must be an array, got null"),
+    ({"lambda": 4.0, "noises": True}, "noises must be an array, got true"),
+    ({"lambda": 4.0, "noises": "A:phase:1"}, 'noises must be an array, got "A:phase:1"'),
+    ({"lambda": 4.0, "noises": NOISE_ROW}, "noises must be an array, got {"),
+    ({"lambda": True}, "lambda must be a number, got true"),
+    ({"lambda": 4.0, "t_max": True}, "t_max must be a number, got true"),
+    ({"lambda": 4.0, "samples": False}, "samples must be a number, got false"),
+    ({"lambda": 4.0, "noises": [dict(NOISE_ROW, rate=True)]},
+     "noise rate must be a number, got true"),
+    ({"state": dict(STATE_BLOCK, a=True)}, "state a must be a number, got true"),
+    ({"state": dict(STATE_BLOCK, z_im=False)}, "state z_im must be a number, got false"),
+    ({"state": {"a": 0.1}}, "bad state block: 'b'"),
+    ({"state": dict(STATE_BLOCK, a=0.9)}, "bad state block: populations must sum to 1"),
+    ({"lambda": 4.0, "noises": [{"target": "A", "kind": "phase"}]}, "bad noise entry"),
+    ({"lambda": 4.0, "noises": [dict(NOISE_ROW, kind="spin")]}, "bad noise entry"),
+], ids=["not_object", "noises_number", "noises_null", "noises_true", "noises_string",
+        "noises_object", "lambda_true", "t_max_true", "samples_false", "rate_true",
+        "state_true", "state_false", "state_missing_key", "state_invalid",
+        "noise_missing_rate", "noise_bad_kind"])
+def test_config_value_types_exit_2(data, message, tmp_path, capsys):
+    # a number, null or true for "noises" was a TypeError traceback (exit 1),
+    # a string or object was iterated, and a JSON boolean passed as 1 or 0
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    for command in (["trace", "--samples", "2"], ["esd", "--t-max", "1"]):
+        code, out, err = run_cli(command + ["--config", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: " + message)
+
+
+def test_config_file_that_is_not_json_exits_2(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text('{"lambda": 4.0,', encoding="utf-8")
+    code, out, err = run_cli(["esd", "--config", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: config file is not valid JSON")
+
+
+@pytest.mark.parametrize("noise", ["A:phase", "A:phase:1:2", "A"])
+def test_malformed_noise_flag_exits_2(noise, capsys):
+    code, out, err = run_cli(["esd", "--lambda", "4", "--noise", noise], capsys)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err == f"error: noise must look like TARGET:KIND:RATE, got {noise!r}\n"
 
 
 def test_reports_are_strict_json(capsys):

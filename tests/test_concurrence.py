@@ -254,6 +254,19 @@ def test_default_horizon_rejects_rates_whose_horizon_overflows():
     assert diagram_grid([0.2], [0.3], symmetric("phase", 5e-324), 1.0)[0].t_star is None
 
 
+def test_esd_time_without_t_max_scans_to_the_default_horizon():
+    specs = symmetric("amplitude", 0.1) + symmetric("phase", 0.1)
+    state = lambda_state(4.0)
+    t_star = esd_time(state, specs)  # to 20 / 0.1: the death falls past t = 5
+    assert t_star == classify(state, specs).t_star == esd_time(state, specs, 200.0)
+    assert t_star > 5.0 and esd_time(state, specs, 5.0) is None
+    assert esd_time(state, symmetric("phase", 1.0)) is None
+    # the horizon is checked before the separable probe
+    for start in (state, XState(0.5, 0.25, 0.25, 0.0, 0.0), validate_density(np.eye(4) / 4)):
+        with pytest.raises(ValueError, match="rate 5e-324 is too small"):
+            esd_time(start, symmetric("phase", 5e-324))
+
+
 def test_esd_time_accepts_general_density_matrix():
     specs = symmetric("amplitude", 1.0) + symmetric("phase", 1.0)
     t_x = esd_time(lambda_state(4.0), specs, 20.0)

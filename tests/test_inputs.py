@@ -37,7 +37,7 @@ from esdlab import (
 )
 from esdlab.channels import check_times, evolve_states, noise_channel, transfer_states
 from esdlab.cli import main
-from esdlab.checks import equivalence_state
+from esdlab.checks import additivity_series, equivalence_state
 
 # two specs whose rates are finite but whose sum overflows to inf
 OVERFLOWING = (NoiseSpec("A", "amplitude", 1e308), NoiseSpec("A", "amplitude", 1e308))
@@ -335,6 +335,8 @@ LIBRARY = {  # name: (call, base arguments, positions of two or more rates moved
     "integrate_path": (lambda *r: integrate_path(lambda_state(4.0).to_density(), _specs(r),
                                                  r[4:6], r[6]),
                        RATES + (0.0, 1e-3, 1e-4), range(4)),  # 10 RK4 steps at the base dt
+    "additivity_series": (lambda *r: additivity_series(r[0], r[1], r[2:4], r[4]),
+                          (1.0, 1.0, 0.0, 1e-3, 1e-4), (0, 1)),
 }
 
 
@@ -360,6 +362,8 @@ def _numbers(out):
         return _numbers([getattr(out, f.name) for f in dataclasses.fields(out)])
     if isinstance(out, (list, tuple)):
         return [x for item in out for x in _numbers(item)]
+    if isinstance(out, dict):
+        return _numbers(list(out.values()))
     if out is None or isinstance(out, (str, DecayKind)):
         return []
     return np.ravel(out).tolist()
@@ -381,24 +385,24 @@ def test_library_inputs_fail_only_with_value_error(rng):
 
 # The must-succeed half: inputs inside each route's domain.  Each argument of
 # a LIBRARY route is a rate (R), the elapsed time or a grid's first time (T),
-# a lambda in (0, 4] (L), or is held at its base value (-).
+# a lambda in (0, 4] (L), an RK4 step (D), or is held at its base value (-).
 KINDS_OF = {
     "coherence_factor": "RRT", "phase_concurrence": "LRT", "amplitude_elements": "LRT",
     "amplitude_concurrence": "LRT", "combined_concurrence": "LRRT",
     "combined_death_time": "LRR", "lambda_state": "L", "XState": "-----",
     "evolve_x": "RRRRT", "trace_x": "RRRRT-", "trace_general": "RRRRT-",
     "esd_time_x": "RRRR-", "esd_time_general": "RRRR-", "classify": "RRRR-",
-    "diagram_grid": "RRRR---", "integrate_path": "RRRRT--",
+    "diagram_grid": "RRRR---", "integrate_path": "RRRRT-D", "additivity_series": "RRT-D",
 }
 GOOD = {"R": [0.0, -0.0, 5e-324, 1e-308, 1e-300, 1.0, 1e300, sys.float_info.max],
-        "T": [0.0, -0.0], "L": [5e-324, 1e-300, 1.0, 3.0, 4.0]}
+        "T": [0.0, -0.0], "L": [5e-324, 1e-300, 1.0, 3.0, 4.0], "D": [1.0, 5e-324]}
 # a positive rate below this has no finite default horizon 20 / rate
 TINY = 20.0 / sys.float_info.max
 
 
 def _good_cases():
     """Each rate alone and the rates together at each GOOD rate, crossed
-    with t = 0 and -0.0, then each lambda alone."""
+    with t = 0 and -0.0, then each lambda and each RK4 step alone."""
     cases = []
     for name, kinds in KINDS_OF.items():
         call, base, _ = LIBRARY[name]
@@ -408,7 +412,7 @@ def _good_cases():
             rate_moves += [dict.fromkeys(slots["R"], v) for v in GOOD["R"]]
         time_moves = [{}] + [{i: v} for i in slots["T"] for v in GOOD["T"]]
         moves = [{**rates, **times} for rates, times in itertools.product(rate_moves, time_moves)]
-        moves += [{i: v} for i in slots["L"] for v in GOOD["L"]]
+        moves += [{i: v} for kind in "LD" for i in slots[kind] for v in GOOD[kind]]
         cases += [(name, call, tuple(move.get(i, b) for i, b in enumerate(base))) for move in moves]
     return cases
 
@@ -427,11 +431,23 @@ def _refusal(name, args):
     if name == "combined_death_time" and args[0] > 3 and min(rates) > 0:
         if math.log(args[0] / 3) / rates[1] > sys.float_info.max:
             return "past the largest float"
+    if name == "additivity_series" and 2 * rates[1] == math.inf:
+        return r"2 \* gamma2 must be finite and >= 0, got inf"  # the RK4 route's phase rate
     if name == "integrate_path" and all(rate == sys.float_info.max for rate in rates):
         return "noise rates overflow the master-equation generator"
-    if name == "integrate_path" and max(rates) >= 1e300:  # at dt = 1e-4
-        return "exceeds the stability limit"
+    if name in ("integrate_path", "additivity_series"):
+        if args[-1] == 5e-324:  # a span of 1e-3
+            return "needs more than 1000000 RK4 steps"
+        if max(rates) >= 1e300:  # at dt = 1e-4
+            return "exceeds the stability limit"
     return None
+
+
+def test_additivity_series_names_a_bad_rate():
+    for name, bad in itertools.product(("gamma1", "gamma2"), (-1.0, -5e-324, math.nan, math.inf)):
+        rates = {"gamma1": 1.0, "gamma2": 1.0, name: bad}
+        with pytest.raises(ValueError, match=f"^{name} must be finite and >= 0, got {bad!r}$"):
+            additivity_series(rates["gamma1"], rates["gamma2"], [0.0, 1e-3])
 
 
 def test_library_inputs_in_the_domain_succeed():

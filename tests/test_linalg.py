@@ -12,7 +12,7 @@ from esdlab import (
     validate_density,
 )
 from esdlab.concurrence import lambda_state, spin_flipped
-from esdlab.linalg import check_densities
+from esdlab.linalg import as_matrix, as_stack, check_densities
 
 from helpers import partial_trace, random_density, random_unitary
 
@@ -139,3 +139,20 @@ def test_partial_trace():
     assert np.abs(partial_trace(prod, "B") - other).max() < 1e-15
     with pytest.raises(ValueError):
         partial_trace(BELL, "C")
+
+
+def test_matrix_coercion_named_failures():
+    for shape in ((4, 3), (2, 4, 3), (4,)):
+        with pytest.raises(ValueError, match="expected a square matrix, got shape"):
+            as_stack(np.zeros(shape))
+    with pytest.raises(ValueError, match="expected dimension in"):
+        as_stack(np.zeros((3, 3)))
+    for bad in (np.nan, np.inf, complex(0, np.inf)):
+        mat = np.eye(4, dtype=complex) / 4
+        mat[1, 2] = bad
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            as_stack(mat)
+    with pytest.raises(ValueError, match=r"expected a square matrix, got shape \(1, 4, 4\)"):
+        as_matrix(np.eye(4)[None])  # a stack of one is not a matrix
+    with pytest.raises(ValueError, match=r"expected a square matrix, got shape \(4,\)"):
+        validate_density(np.full(4, 0.25))
