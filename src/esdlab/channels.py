@@ -369,8 +369,9 @@ def _rk4_runs(
         raise ValueError("noise rates overflow the master-equation generator")
     vecs = rho0.mat.reshape(1, dim * dim, 1)  # one column, broadcast over the runs
     spans = [t - s for s, t in zip([0.0] + times, times)]
-    # capped before ceil, which cannot take the inf of a huge span / dt
-    counts = [math.ceil(min(span / dt - 1e-12, MAX_RK4_STEPS + 1)) for span in spans]
+    # capped before ceil (no inf from a huge span / dt); a positive span takes >= 1 step
+    counts = [max(1, math.ceil(min(span / dt - 1e-12, MAX_RK4_STEPS + 1))) if span else 0
+              for span in spans]
     if sum(counts) > MAX_RK4_STEPS:
         raise ValueError(f"dt {dt} needs more than {MAX_RK4_STEPS} RK4 steps")
     h_max = max((span / n for span, n in zip(spans, counts) if n), default=0.0)

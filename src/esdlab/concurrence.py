@@ -32,9 +32,9 @@ from .linalg import DensityMatrix, check_x_densities, kron, product_spectrum, va
 
 # root scan: grid points on (0, t_max], and the bisection width of first_root
 SCAN_POINTS = 512
-SCAN_BLOCK = 32  # X states scanned at a time: bounds the (block, grid) temporaries
+SCAN_BLOCK = 256  # rows _first_hits scans at once: its temporaries are <= 256 x BLOCK_TIMES
 ESD_RESOLUTION = 1e-10
-# grid times trace_concurrence evolves, and esd_time scans, at once: bounds the
+# grid times trace_concurrence evolves, and _first_hits scans, at once: bounds the
 # (block, 4, 4) transfer stacks of a general state and the per-time factor arrays
 # of an X state
 BLOCK_TIMES = 64
@@ -278,23 +278,39 @@ def trace_concurrence(
     return ConcurrenceTrace(times=times, values=values, specs=specs, initial=initial)
 
 
-def first_root(margin, grid, values) -> list[Optional[float]]:
-    """First sign change of each row of ``values``, margins on ``grid`` that start > 0.
+def _first_hits(margin, n_rows: int, grid: np.ndarray) -> np.ndarray:
+    """Index of each row's first nonpositive margin on ``grid`` past t = 0, or 0.
 
-    ``values`` is an (n, m) array or an iterable of (k, m) row blocks, with
-    m <= len(grid): a row may end after its first nonpositive value, since
-    nothing past it is read.  Each row's bracket [grid[idx - 1], grid[idx]]
-    around its first nonpositive value is bisected on ``margin(rows, t)``,
-    the margins of those rows at their own times, all rows in lockstep, each
-    down to ESD_RESOLUTION or to adjacent floats.  Returns per row the
-    nonpositive end of the bracket, or None when the row has no nonpositive
-    value.
+    ``margin(rows, t)``, with ``rows`` an (r, 1) index column and ``t`` a
+    slice of ``grid``, gives (r, len(t)) margins, or one row in 1d.  Rows go
+    SCAN_BLOCK at a time, each chunk walks the grid BLOCK_TIMES times at a
+    time, in order, and a row is dropped after the block holding its first
+    hit, so nothing past that block is evaluated.  A NaN margin is no hit.
     """
-    found = [np.zeros(0, dtype=np.intp)]
-    for block in values:
-        hits = np.atleast_2d(block)[:, 1:] <= 0.0
-        found.append(np.where(hits.any(axis=1), 1 + hits.argmax(axis=1), 0))
-    idx = np.concatenate(found)
+    idx = np.zeros(n_rows, dtype=np.intp)
+    for start in range(0, n_rows, SCAN_BLOCK):
+        rows = np.arange(start, min(start + SCAN_BLOCK, n_rows))
+        for lo in range(0, len(grid), BLOCK_TIMES):
+            hits = np.atleast_2d(margin(rows[:, None], grid[lo:lo + BLOCK_TIMES])) <= 0.0
+            hits[:, 0] &= lo > 0  # a margin at t = 0 is never a hit
+            hit = hits.any(axis=1)
+            idx[rows[hit]] = lo + hits[hit].argmax(axis=1)
+            rows = rows[~hit]
+            if not len(rows):
+                break
+    return idx
+
+
+def first_root(margin, grid, idx) -> list[Optional[float]]:
+    """First sign change of each row, from its first-hit index ``idx`` on ``grid``.
+
+    ``idx`` is what ``_first_hits`` returns: per row the index of its first
+    nonpositive margin past t = 0, or 0 for none.  Each row's bracket
+    [grid[idx - 1], grid[idx]] is bisected on ``margin(rows, t)``, the
+    margins of those rows at their own times, all rows in lockstep, each down
+    to ESD_RESOLUTION or to adjacent floats.  Returns per row the nonpositive
+    end of the bracket, or None when the row has no hit.
+    """
     rows = np.flatnonzero(idx)  # the rows still bisecting, with their brackets
     lo, hi = grid[idx[rows] - 1], grid[idx[rows]]
     roots = np.zeros(len(idx))
@@ -335,11 +351,11 @@ def esd_time(
 
     The horizon is checked first, and the margin is then probed at t = 0,
     so SeparableStateError comes before any error of a later time.  The grid
-    ``linspace(0, t_max, SCAN_POINTS + 1)`` is then scanned BLOCK_TIMES
-    times at a time, in order, and the scan stops after the first block
-    holding a nonpositive margin past t = 0; ``first_root`` bisects that
-    first sign change to ESD_RESOLUTION, on the one row of this state, and
-    reads nothing past it, so the blocks left unscanned change no bit.
+    ``linspace(0, t_max, SCAN_POINTS + 1)`` is then scanned by ``_first_hits``,
+    the scan ``diagram_grid`` shares, BLOCK_TIMES times at a time, in order,
+    up to the first block holding a nonpositive margin past t = 0;
+    ``first_root`` bisects that first sign change to ESD_RESOLUTION and reads
+    nothing past it, so the blocks left unscanned change no bit.
     Concurrence never increases under these local semigroup channels
     (Wootters, PRL 80, 2245 (1998)), so that zero stays zero and needs no
     check past it.  Returns None when the margin stays positive on the
@@ -361,13 +377,8 @@ def esd_time(
     if margins_at(np.zeros(1))[0] <= 0.0:
         raise SeparableStateError("initial state is separable (zero concurrence)")
     grid = np.linspace(0.0, t_max, SCAN_POINTS + 1)
-    margins = np.empty_like(grid)
-    for lo in range(0, len(grid), BLOCK_TIMES):
-        hi = lo + BLOCK_TIMES
-        margins[lo:hi] = margins_at(grid[lo:hi])
-        if (margins[1:hi] <= 0.0).any():  # first_root reads no hit at t = 0 either
-            break
-    return first_root(lambda _, t: margins_at(t), grid, [margins[:hi]])[0]
+    margin = lambda _, t: margins_at(t)  # one row, whatever its index
+    return first_root(margin, grid, _first_hits(margin, 1, grid))[0]
 
 
 class DecayKind(Enum):
@@ -427,8 +438,9 @@ def diagram_grid(
     XState built: cells outside |z| <= (1 - a)/2 + XSTATE_TOL, or with a
     non-finite a or z, are INVALID.  A valid cell is live when its clamped
     z_in = min(z, (1 - a)/2), half its concurrence, is nonzero.  Live cells
-    go through one scan, SCAN_BLOCK at a time, and one lockstep bisection,
-    and get the bits ``classify`` gives each.  Rows are a-major, z-minor.
+    go through the scan ``_first_hits``, each dropped after the block where it
+    dies, and one lockstep bisection, and get the bits ``classify`` gives
+    each.  Rows are a-major, z-minor.
     """
     specs = tuple(specs)
     rates = _x_rates(specs)
@@ -443,11 +455,8 @@ def diagram_grid(
     if len(live):
         entries = np.array([a[live], half[live], half[live], np.zeros(len(live)), z_in[live]])
         grid = np.linspace(0.0, _horizon(specs, t_max), SCAN_POINTS + 1)
-        blocks = (
-            _x_margins(entries[:, lo:lo + SCAN_BLOCK, None], rates, grid)
-            for lo in range(0, len(live), SCAN_BLOCK)
-        )
-        roots = first_root(lambda rows, t: _x_margins(entries[:, rows], rates, t), grid, blocks)
+        margin = lambda rows, t: _x_margins(entries[:, rows], rates, t)
+        roots = first_root(margin, grid, _first_hits(margin, len(live), grid))
         for i, t_star in zip(live.tolist(), roots):
             kinds[i] = DecayKind.EXPONENTIAL if t_star is None else DecayKind.SUDDEN_DEATH
             t_stars[i] = t_star

@@ -393,6 +393,17 @@ def test_integrate_path_matches_integrate():
         integrate_path(rho0, specs, [0.5, 0.2])
 
 
+def test_integrate_path_steps_a_span_far_below_dt():
+    # span / dt = 1e-13 is below the 1e-12 slack of the step count: the span
+    # still takes one step, the one step dt = 1 takes, and the state moves
+    specs = (NoiseSpec("A", "amplitude", 1.0),)
+    rho0 = lambda_state(3.0).to_density()
+    start, end = integrate_path(rho0, specs, [0.0, 1.0], dt=1e13)
+    assert np.array_equal(start.mat, rho0.mat)
+    assert np.array_equal(end.mat, integrate_path(rho0, specs, [0.0, 1.0], dt=1.0)[1].mat)
+    assert np.abs(end.mat - rho0.mat).max() > 0.01
+
+
 def test_integrate_path_rejects_runs_rk4_cannot_take():
     for dt in (1e-9, 1e-320):  # 1e9 steps; a step count that overflows to inf
         with pytest.raises(ValueError, match=f"more than {MAX_RK4_STEPS} RK4 steps"):

@@ -385,6 +385,15 @@ def test_removed_flags_exit_2(argv, flag, value, capsys):
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
+def test_additivity_dt_past_every_span_takes_a_step(capsys):
+    # each 2.5 span is 2.5e-13 of dt: it once took no RK4 step and printed the
+    # unevolved 0.5; one step over the whole span is past the stability limit
+    code, out, err = run_cli(["additivity", "--dt", "1e13", "--samples", "3"], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("error: RK4 step 2.5 times generator rate 1.5 exceeds "
+                   "the stability limit 2.785\n")
+
+
 def test_additivity_coarse_stable_step_accepted(capsys):
     # the one step per span is h = 5/19, and h times the rate 3 is 0.79
     code, out, _ = run_cli(

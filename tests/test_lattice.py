@@ -1,12 +1,12 @@
 """Batched lattice classification and multi-row root finding, bit for bit.
 
-``diagram_grid`` scans every entangled cell on one shared grid, a block of
-cells at a time, and bisects all brackets in lockstep through
-``first_root``.  The arithmetic per cell is the per-cell scan-and-bisect
-kept here as the reference, so cells must be equal, never merely close.
-``esd_time`` scans one state's grid a block of times at a time and stops
-after the block where it dies; the same reference, run over the whole
-grid, must give its root bit for bit.
+``esd_time`` and ``diagram_grid`` share one blocked scan, ``_first_hits``:
+it walks the shared grid a block of times at a time, a chunk of rows at a
+time, and drops each row after the block where it dies.  ``first_root``
+then bisects all brackets in lockstep.  The arithmetic per cell or state is
+the scan-and-bisect over the whole grid kept here as the reference, so
+roots must be equal, never merely close, and no grid time past a row's
+dying block may be evaluated.
 """
 
 import functools
@@ -32,6 +32,7 @@ from esdlab.concurrence import (
     SCAN_BLOCK,
     SCAN_POINTS,
     _evolved_margins,
+    _first_hits,
     _x_entries,
     _x_margins,
     _x_rates,
@@ -121,18 +122,21 @@ def test_diagram_grid_matches_per_cell_reference(rng, panel, t_max):
 
 
 def test_diagram_grid_matches_reference_off_lattice(rng):
-    # unsorted values, out-of-range a and z, and more cells than one scan
-    # block; a = -0.0 and a = 1.0 (half = 0), z = -0.0, and z at (1 - a)/2
-    # and 5e-13 past it, inside the XSTATE_TOL slack, where it is clamped
+    # unsorted values, out-of-range a and z, and more live cells than one
+    # scan chunk; a = -0.0 and a = 1.0 (half = 0), z = -0.0, and z at
+    # (1 - a)/2 and 5e-13 past it, inside the XSTATE_TOL slack, where it is clamped
     half = 0.5 * (1.0 - 0.3)
-    a_values = np.concatenate([rng.uniform(-0.1, 1.1, 11), [-0.0, 1.0, 0.3]])
-    z_values = np.concatenate([[0.0], rng.uniform(-0.05, 0.55, 9),
+    a_values = np.concatenate([rng.uniform(-0.1, 1.1, 30), [-0.0, 1.0, 0.3]])
+    z_values = np.concatenate([[0.0], rng.uniform(-0.05, 0.55, 30),
                                [-0.0, 5e-13, half, half + 5e-13]])
     specs = _random_panel(rng, "iii")
     assert len(a_values) * len(z_values) > SCAN_BLOCK
+    want = repr(_reference_cells(a_values, z_values, specs, None))
     for a, z in ((a_values, z_values), (a_values.tolist(), z_values.tolist())):
         got = _cells(a, z, specs)
-        assert repr(got) == repr(_reference_cells(a, z, specs, None))
+        assert repr(got) == want
+    live = [c for c in got if c[2] in (DecayKind.EXPONENTIAL, DecayKind.SUDDEN_DEATH)]
+    assert len(live) > SCAN_BLOCK
 
 
 def test_diagram_grid_single_and_empty_lattices(rng):
@@ -154,7 +158,8 @@ def test_diagram_grid_marks_non_finite_entries_invalid():
 
 def test_diagram_grid_tracemalloc_peak_stays_small():
     # unblocked, the (cells x grid) scan temporaries of this lattice peak
-    # near 27 MB; a block of SCAN_BLOCK cells keeps the peak near 2 MB
+    # near 27 MB; chunks of SCAN_BLOCK cells by BLOCK_TIMES times keep the
+    # peak near 1.1 MB, most of it the 4,096 cells returned
     specs = tuple(NoiseSpec(q, kind, 1.0) for kind in KINDS for q in "AB")
     a_values, z_values = np.linspace(0.0, 1.0, 64), np.linspace(0.0, 0.5, 64)
     tracemalloc.start()
@@ -167,33 +172,79 @@ def test_diagram_grid_tracemalloc_peak_stays_small():
     assert peak < 5e6
 
 
+def test_diagram_grid_scans_no_block_past_a_cells_death(monkeypatch, rng):
+    """Each live cell is evaluated at the grid times in order, up to the end
+    of the block holding its first nonpositive margin and never past it (a
+    surviving cell at every grid time once), and the bisection evaluates no
+    grid time."""
+    module = importlib.import_module("esdlab.concurrence")
+    real, calls = module._x_margins, []
+
+    def counted(entries, rates, times):
+        calls.append((np.asarray(entries), np.asarray(times)))
+        return real(entries, rates, times)
+
+    specs = _random_panel(rng, "i")
+    a_values, z_values = np.linspace(0.0, 1.0, 32), np.linspace(0.0, 0.5, 32)
+    monkeypatch.setattr(module, "_x_margins", counted)
+    cells = diagram_grid(a_values, z_values, specs)
+    live = [c for c in cells if c.kind in (DecayKind.EXPONENTIAL, DecayKind.SUDDEN_DEATH)]
+    assert {c.kind for c in live} == {DecayKind.EXPONENTIAL, DecayKind.SUDDEN_DEATH}
+    assert len(live) > SCAN_BLOCK  # more than one chunk of rows
+    grid = np.linspace(0.0, 20.0 / min(s.rate for s in specs), SCAN_POINTS + 1)
+    scan = list(itertools.takewhile(lambda c: np.isin(c[1], grid).all(), calls))
+    assert not any(np.isin(t, grid).any() for _, t in calls[len(scan):])
+    seen = {}  # (a, z_in) of a cell -> the grid times it was evaluated at
+    for entries, times in scan:
+        for a, z_in in zip(entries[0].ravel().tolist(), entries[4].ravel().tolist()):
+            seen.setdefault((a, z_in), []).append(times)
+    rates = _x_rates(specs)
+    for c in live:
+        half = 0.5 * (1.0 - c.a)
+        z_in = min(c.z, half)
+        values = real((c.a, half, half, 0.0, z_in), rates, grid)
+        hits = np.flatnonzero(values[1:] <= 0.0)
+        assert (c.kind is DecayKind.SUDDEN_DEATH) == bool(len(hits))
+        end = (SCAN_POINTS + 1 if not len(hits)
+               else min(BLOCK_TIMES * ((1 + hits[0]) // BLOCK_TIMES + 1), SCAN_POINTS + 1))
+        assert np.array_equal(np.concatenate(seen.pop((c.a, z_in))), grid[:end]), c
+    assert not seen
+
+
 def _linear_rows(thresholds, grid):
     """Margins c - t of rows with roots c, and their (rows, t) evaluator."""
     values = thresholds[:, None] - grid[None, :]
     return (lambda rows, t: thresholds[rows] - t), values
 
 
+def _roots(margin, n_rows, grid):
+    """The production pipeline: the blocked scan, then the lockstep bisection."""
+    return first_root(margin, grid, _first_hits(margin, n_rows, grid))
+
+
 def test_first_root_rows_match_one_row_calls_and_the_reference(rng):
-    grid = np.linspace(0.0, 10.0, 65)
+    grid = np.linspace(0.0, 10.0, 65)  # one block of BLOCK_TIMES and one more time
     # roots inside the grid, past it (no hit), on a grid point and in its
     # first interval (hit at grid[1])
     thresholds = np.concatenate([rng.uniform(0.01, 10.0, 20), [12.0, 30.0],
                                  grid[[1, 7]], [0.05]])
     margin, values = _linear_rows(thresholds, grid)
-    got = first_root(margin, grid, values)
+    got = _roots(margin, len(thresholds), grid)
     assert got[20] is None and got[21] is None
     for row, c in enumerate(thresholds):
-        one = first_root(lambda _, t: c - t, grid, values[row:row + 1])
+        one = _roots(lambda _, t: c - t, 1, grid)
         ref = _first_root_1d(lambda t: c - t, grid, values[row], ESD_RESOLUTION)
         assert repr(got[row]) == repr(one[0]) == repr(ref), row
-    blocks = (values[lo:lo + 4] for lo in range(0, len(values), 4))
-    assert repr(first_root(margin, grid, blocks)) == repr(got)
+    # the scan's first hits are those read off the whole margin rows
+    hits = values[:, 1:] <= 0.0
+    idx = np.where(hits.any(axis=1), 1 + hits.argmax(axis=1), 0)
+    assert np.array_equal(_first_hits(margin, len(thresholds), grid), idx)
 
 
 def test_first_root_hit_at_first_grid_point():
     grid = np.linspace(0.0, 1.0, 9)
-    margin, values = _linear_rows(np.array([0.01, 0.125]), grid)
-    got = first_root(margin, grid, values)
+    margin, _ = _linear_rows(np.array([0.01, 0.125]), grid)
+    got = _roots(margin, 2, grid)
     assert 0.0 < got[0] <= grid[1] and got[1] == grid[1]
     assert got[0] - 0.01 <= ESD_RESOLUTION and margin(np.array([0]), np.array([got[0]]))[0] <= 0.0
 
@@ -203,16 +254,17 @@ def test_first_root_stops_at_adjacent_floats():
     # than ESD_RESOLUTION: each row must stop on an adjacent pair, at its own step
     grid = np.linspace(0.0, 4e300, 9)
     thresholds = np.array([1.1e300, 2.7e300, 3.3e300])
-    margin, values = _linear_rows(thresholds, grid)
-    got = first_root(margin, grid, values)
+    margin, _ = _linear_rows(thresholds, grid)
+    got = _roots(margin, len(thresholds), grid)
     for c, t in zip(thresholds, got):
         assert t >= c and np.nextafter(t, 0.0) < c
         assert repr(t) == repr(_first_root_1d(lambda s: c - s, grid, c - grid, ESD_RESOLUTION))
 
 
 def test_first_root_without_rows():
-    assert first_root(None, np.linspace(0.0, 1.0, 5), np.zeros((0, 5))) == []
-    assert first_root(None, np.linspace(0.0, 1.0, 5), []) == []
+    grid = np.linspace(0.0, 1.0, 5)
+    assert _first_hits(None, 0, grid).shape == (0,)  # the margin is never called
+    assert _roots(None, 0, grid) == []
 
 
 def _margins_at(state, specs):
