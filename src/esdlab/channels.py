@@ -230,11 +230,13 @@ def noise_channel(specs: Iterable[NoiseSpec], t: float) -> KrausChannel:
     return KrausChannel(4, tuple(_noise_stack(fold_rates(specs), check_times([t]).tolist())[0]))
 
 
-def _checked_grid(rho0: DensityMatrix, times: Sequence[float]) -> np.ndarray:
-    """The checked time grid, for evolving a two-qubit rho0."""
+def _checked_grid(
+    rho0: DensityMatrix, specs: Iterable[NoiseSpec], times: Sequence[float]
+) -> tuple:
+    """The checked time grid and folded rates, for evolving a two-qubit rho0."""
     if rho0.dim != 4:
         raise ValueError(f"dimension mismatch: channel 4, state {rho0.dim}")
-    return check_times(times)
+    return check_times(times), fold_rates(specs)
 
 
 def evolve_states(
@@ -246,10 +248,10 @@ def evolve_states(
     stacked builder, applied by stacked matmuls in one pass.  Equal, bit for
     bit, to applying each time's set alone, one 4x4 product at a time.
     """
-    times = _checked_grid(rho0, times)
+    times, rates = _checked_grid(rho0, specs, times)
     if not len(times):  # the stacked checks take a max over at least one time
         return np.empty((0, 4, 4), dtype=np.complex128)
-    return check_densities(_kraus_sum(_noise_stack(fold_rates(specs), times.tolist()), rho0.mat))
+    return check_densities(_kraus_sum(_noise_stack(rates, times.tolist()), rho0.mat))
 
 
 def _transfer_stack(rates: dict, times: np.ndarray, target: str) -> np.ndarray:
@@ -281,10 +283,9 @@ def transfer_states(
     matmuls apply the maps, qubit A's on the left of rho0 regrouped as
     (iA jA, iB jB), qubit B's on the right.
     """
-    times = _checked_grid(rho0, times)
+    times, rates = _checked_grid(rho0, specs, times)
     if not len(times):
         return np.empty((0, 4, 4), dtype=np.complex128)
-    rates = fold_rates(specs)
     blocks = rho0.mat.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
     out = _transfer_stack(rates, times, "A") @ blocks
     out = out @ _transfer_stack(rates, times, "B").swapaxes(1, 2)

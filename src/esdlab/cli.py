@@ -261,11 +261,12 @@ def cmd_diagram(args) -> int:
     specs = [NoiseSpec(q, kind, args.rate) for kind in _PANELS[args.panel] for q in "AB"]
     a_values = _grid(1.0, args.resolution, "--resolution")
     z_values = _grid(0.5, args.resolution, "--resolution")
-    try:
-        cells = diagram_grid(a_values, z_values, specs, args.t_max)
+    try:  # checked before the lattice, as in cmd_esd
+        t_max = _horizon(specs, args.t_max)
     except ValueError as exc:
         raise ConfigError(f"--rate {args.rate!r} is too small for the default horizon "
                           "20 / rate; give --t-max") from exc
+    cells = diagram_grid(a_values, z_values, specs, t_max)
     rows = [[_fmt(c.a), _fmt(c.z), c.kind.value, "" if c.t_star is None else _fmt(c.t_star)]
             for c in cells]
     _table(args, ["a", "z", "class", "t_star"], rows)

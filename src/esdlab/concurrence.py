@@ -189,8 +189,6 @@ class ConcurrenceTrace:
 
     times: np.ndarray
     values: np.ndarray
-    specs: tuple
-    initial: Union[XState, DensityMatrix]
 
     def __post_init__(self):
         times = np.array(self.times, dtype=float)
@@ -203,7 +201,6 @@ class ConcurrenceTrace:
         values.setflags(write=False)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "specs", tuple(self.specs))
 
 
 def _x_kraus_margins(x: XState, rates: list[float], times: np.ndarray) -> np.ndarray:
@@ -275,7 +272,7 @@ def trace_concurrence(
         raise ValueError("need a nonempty ascending time grid")
     values = _evolved_margins(initial, specs, times)
     values[~(values > 0.0)] = 0.0  # NaN and -0.0 become 0.0 too
-    return ConcurrenceTrace(times=times, values=values, specs=specs, initial=initial)
+    return ConcurrenceTrace(times=times, values=values)
 
 
 def _first_hits(margin, n_rows: int, grid: np.ndarray) -> np.ndarray:
@@ -402,17 +399,16 @@ class DecayClass:
             raise ValueError("t_star must be > 0")
 
 
-def classify(
-    x: XState, specs: Iterable[NoiseSpec], t_max: Optional[float] = None
-) -> DecayClass:
-    """Decay class of a d = 0 X state under a noise set."""
+def classify(x: XState, specs: Iterable[NoiseSpec]) -> DecayClass:
+    """Decay class of a d = 0 X state: ``esd_time`` on the default horizon
+    20 / min(rate), with SeparableStateError read as SEPARABLE_AT_START and a
+    death past the horizon as EXPONENTIAL (``esd_time`` takes a longer t_max)."""
     if x.d != 0.0:
         raise ValueError("classification is defined on the d = 0 slice")
-    specs = tuple(specs)
-    fold_rates(specs)  # an overflowing summed rate raises here too, as on every route
-    if concurrence_x(x) == 0.0:
+    try:
+        t_star = esd_time(x, specs)
+    except SeparableStateError:
         return DecayClass(DecayKind.SEPARABLE_AT_START)
-    t_star = esd_time(x, specs, t_max)
     if t_star is None:
         return DecayClass(DecayKind.EXPONENTIAL)
     return DecayClass(DecayKind.SUDDEN_DEATH, t_star)
@@ -437,12 +433,13 @@ def diagram_grid(
     One validity mask over the lattice arrays decides every cell, with no
     XState built: cells outside |z| <= (1 - a)/2 + XSTATE_TOL, or with a
     non-finite a or z, are INVALID.  A valid cell is live when its clamped
-    z_in = min(z, (1 - a)/2), half its concurrence, is nonzero.  Live cells
-    go through the scan ``_first_hits``, each dropped after the block where it
-    dies, and one lockstep bisection, and get the bits ``classify`` gives
-    each.  Rows are a-major, z-minor.
+    z_in = min(z, (1 - a)/2), half its concurrence, is nonzero.  Live cells go
+    through the scan ``_first_hits``, each dropped after the block where it dies,
+    and one lockstep bisection, and get the bits ``esd_time`` gives each at the
+    same horizon, checked on entry as there.  Rows are a-major, z-minor.
     """
     specs = tuple(specs)
+    t_max = _horizon(specs, t_max)  # even when no cell is live
     rates = _x_rates(specs)
     a_axis, z_axis = np.asarray(a_values, dtype=float), np.asarray(z_values, dtype=float)
     a, z = np.repeat(a_axis, len(z_axis)), np.tile(z_axis, len(a_axis))
@@ -454,7 +451,7 @@ def diagram_grid(
     t_stars: list[Optional[float]] = [None] * len(kinds)
     if len(live):
         entries = np.array([a[live], half[live], half[live], np.zeros(len(live)), z_in[live]])
-        grid = np.linspace(0.0, _horizon(specs, t_max), SCAN_POINTS + 1)
+        grid = np.linspace(0.0, t_max, SCAN_POINTS + 1)
         margin = lambda rows, t: _x_margins(entries[:, rows], rates, t)
         roots = first_root(margin, grid, _first_hits(margin, len(live), grid))
         for i, t_star in zip(live.tolist(), roots):

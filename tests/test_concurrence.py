@@ -157,9 +157,9 @@ def test_trace_input_validation():
     with pytest.raises(ValueError):
         trace_concurrence(lambda_state(4.0), (), [-1.0, 0.5])
     with pytest.raises(ValueError):
-        ConcurrenceTrace(np.array([0.0, 1.0]), np.array([0.5]), (), BELL)
+        ConcurrenceTrace(np.array([0.0, 1.0]), np.array([0.5]))
     with pytest.raises(ValueError):
-        ConcurrenceTrace(np.array([0.0]), np.array([1.5]), (), BELL)
+        ConcurrenceTrace(np.array([0.0]), np.array([1.5]))
 
 
 def test_trace_concurrence_rejects_non_finite_times():

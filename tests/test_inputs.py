@@ -11,6 +11,7 @@ import sys
 import time
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from functools import partial
 
 import numpy as np
 import pytest
@@ -72,13 +73,41 @@ def test_check_times_names_the_first_bad_time():
     lambda: classify(XState(0.5, 0.25, 0.25, 0.0, 0.0), OVERFLOWING),  # separable at start
     lambda: diagram_grid([0.2], [0.3], OVERFLOWING, 5.0),
     lambda: diagram_grid([2.0], [0.3], OVERFLOWING, 5.0),  # an all-INVALID lattice too
+    lambda: evolve_states(lambda_state(4.0).to_density(), OVERFLOWING, []),  # empty grids too
+    lambda: transfer_states(equivalence_state(), OVERFLOWING, []),
 ], ids=["evolve_states", "transfer_states", "noise_channel", "integrate_path", "trace_x",
         "trace_general", "esd_time_x", "esd_time_general", "classify", "classify_separable",
-        "diagram_grid", "diagram_grid_invalid"])
+        "diagram_grid", "diagram_grid_invalid", "evolve_states_empty", "transfer_states_empty"])
 def test_overflowing_summed_rate_raises_one_value_error(route):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=SUMMED):
+            route()
+
+
+# lattices with no live cell: all SEPARABLE_AT_START, all INVALID
+NOT_LIVE = {"separable": ([0.0], [0.0]), "invalid": ([2.0], [0.3])}
+TINY_PHASE = (NoiseSpec("A", "phase", 5e-324),)  # 20 / 5e-324 overflows
+BAD_T_MAX = {"minus_one": -1.0, "nan": math.nan, "inf": math.inf, "zero": 0.0}
+HORIZON_CASES = {
+    **{f"{cells}_{name}": (partial(diagram_grid, a, z, (NoiseSpec("A", "phase", 1.0),), t),
+                           "t_max must be finite and > 0")
+       for cells, (a, z) in NOT_LIVE.items() for name, t in BAD_T_MAX.items()},
+    **{f"{cells}_tiny_rate": (partial(diagram_grid, a, z, TINY_PHASE),
+                              "too small for the default horizon")
+       for cells, (a, z) in NOT_LIVE.items()},
+    "classify_separable_tiny_rate": (
+        partial(classify, XState(0.5, 0.25, 0.25, 0.0, 0.0), TINY_PHASE),
+        "too small for the default horizon"),
+}
+
+
+@pytest.mark.parametrize("route, message", HORIZON_CASES.values(), ids=HORIZON_CASES.keys())
+def test_horizon_is_checked_with_no_live_cell(route, message):
+    # no cell here reaches the scan, and a separable state no bisection
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
             route()
 
 
@@ -328,8 +357,7 @@ LIBRARY = {  # name: (call, base arguments, positions of two or more rates moved
                    range(4)),
     "esd_time_general": (lambda *r: esd_time(ENTANGLED, _specs(r), r[4]),
                          RATES + (2.0,), range(4)),
-    "classify": (lambda *r: classify(lambda_state(4.0), _specs(r), r[4]), RATES + (None,),
-                 range(4)),
+    "classify": (lambda *r: classify(lambda_state(4.0), _specs(r)), RATES, range(4)),
     "diagram_grid": (lambda *r: diagram_grid([r[4], 0.2], [r[5], 0.3], _specs(r), r[6]),
                      RATES + (0.0, 0.0, None), range(4)),
     "integrate_path": (lambda *r: integrate_path(lambda_state(4.0).to_density(), _specs(r),
@@ -391,7 +419,7 @@ KINDS_OF = {
     "amplitude_concurrence": "LRT", "combined_concurrence": "LRRT",
     "combined_death_time": "LRR", "lambda_state": "L", "XState": "-----",
     "evolve_x": "RRRRT", "trace_x": "RRRRT-", "trace_general": "RRRRT-",
-    "esd_time_x": "RRRR-", "esd_time_general": "RRRR-", "classify": "RRRR-",
+    "esd_time_x": "RRRR-", "esd_time_general": "RRRR-", "classify": "RRRR",
     "diagram_grid": "RRRR---", "integrate_path": "RRRRT-D", "additivity_series": "RRT-D",
 }
 GOOD = {"R": [0.0, -0.0, 5e-324, 1e-308, 1e-300, 1.0, 1e300, sys.float_info.max],

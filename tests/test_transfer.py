@@ -1,5 +1,6 @@
-"""The transfer-map kernel against the Kraus oracle, its invariants, and the
-general-state route of trace_concurrence against the closed-form laws."""
+"""The transfer-map kernel against the Kraus oracle, its invariants, the
+general-state route of trace_concurrence against the closed-form laws, and
+the X routes against the general route on the same states."""
 
 import math
 
@@ -8,15 +9,18 @@ import pytest
 
 from esdlab import (
     NoiseSpec,
+    XState,
     amplitude_concurrence,
     combined_concurrence,
+    esd_time,
+    evolve_x,
     lambda_state,
     phase_concurrence,
     trace_concurrence,
     validate_density,
 )
 from esdlab.channels import evolve_states, noise_channel, transfer_states
-from esdlab.checks import LAMBDAS, N_TIMES, RATES
+from esdlab.checks import EQUIVALENCE_PLACEMENTS, LAMBDAS, N_TIMES, RATES, WITNESS_TOL
 from esdlab.concurrence import concurrence_margins
 
 from helpers import random_density, random_x_state
@@ -111,3 +115,40 @@ def test_general_trace_route_matches_the_closed_form_laws():
     for lam, specs, grid, law in cases:
         got = trace_concurrence(lambda_state(lam).to_density(), specs, grid).values
         assert np.abs(got - [law(t) for t in grid]).max() <= 1e-10
+
+
+def _asymmetric_x_state(rng):
+    """An X state with |b - c| >= 0.1, complex z and |z| - sqrt(a d) > 0.05:
+    only there do the X routes' b and c terms, and a swap of them, show."""
+    while True:
+        a, b, c, d = rng.dirichlet(np.ones(4))
+        low, high = math.sqrt(a * d) + 0.05, math.sqrt(b * c)
+        if abs(b - c) >= 0.1 and low < high:
+            return XState(a, b, c, d, rng.uniform(low, high) * np.exp(2j * np.pi * rng.random()))
+
+
+def test_x_routes_match_the_general_route_off_b_equals_c(rng):
+    """esd_time, trace_concurrence and evolve_x on X states with b != c under
+    one-sided and uneven noise, against the same states as density matrices
+    (transfer maps and the general formula); the X death-route tests elsewhere
+    run b = c."""
+    times = np.linspace(0.0, 3.0, 50)
+    for _ in range(4):
+        x = _asymmetric_x_state(rng)
+        rho = x.to_density()
+        for specs in EQUIVALENCE_PLACEMENTS + tuple(_random_noise(rng) for _ in range(3)):
+            t_x, t_general = esd_time(x, specs, 40.0), esd_time(rho, specs, 40.0)
+            assert (t_x is None) == (t_general is None), (x, specs, t_x, t_general)
+            if t_x is not None:
+                # where the margin is within roundoff of 0 near t*, the routes
+                # may bisect to different floats: only a clear crossing is compared
+                edges = concurrence_margins(transfer_states(rho, specs, [
+                    t_general * (1 - 1e-6), t_general * (1 + 1e-6)]))
+                if edges[0] > 1e-12 and edges[1] < -1e-12:
+                    assert abs(t_x - t_general) <= WITNESS_TOL, (x, specs, t_x, t_general)
+            got = trace_concurrence(x, specs, times).values
+            assert np.abs(got - trace_concurrence(rho, specs, times).values).max() <= 1e-12
+            for t in times[::7].tolist():
+                fast, mat = evolve_x(x, specs, t), evolve_states(rho, specs, [t])[0]
+                entries = [fast.a, fast.b, fast.c, fast.d, fast.z]
+                assert np.abs(np.array(entries) - mat[[0, 1, 2, 3, 1], [0, 1, 2, 3, 2]]).max() <= 1e-12
