@@ -30,13 +30,11 @@ from .channels import (
 )
 from .linalg import DensityMatrix, check_x_densities, kron, product_spectrum, validate_density
 
-# root scan: grid points on (0, t_max], and the bisection width of first_root
-SCAN_POINTS = 512
-SCAN_BLOCK = 256  # rows _first_hits scans at once: its temporaries are <= 256 x BLOCK_TIMES
+# first_root bisects [0, t_max] down to ESD_RESOLUTION * min(1, t_max): an absolute
+# width for horizons >= 1, a relative one for shorter horizons
 ESD_RESOLUTION = 1e-10
-# grid times trace_concurrence evolves, and _first_hits scans, at once: bounds the
-# (block, 4, 4) transfer stacks of a general state and the per-time factor arrays
-# of an X state
+# grid times trace_concurrence evolves at once: bounds the (block, 4, 4) transfer
+# stacks of a general state and the per-time factor arrays of an X state
 BLOCK_TIMES = 64
 # slack on XState's population sum and |z| <= sqrt(b c), and on diagram_grid's |z| clamp
 XSTATE_TOL = 1e-12
@@ -275,45 +273,26 @@ def trace_concurrence(
     return ConcurrenceTrace(times=times, values=values)
 
 
-def _first_hits(margin, n_rows: int, grid: np.ndarray) -> np.ndarray:
-    """Index of each row's first nonpositive margin on ``grid`` past t = 0, or 0.
+def first_root(margin, n_rows: int, t_max: float) -> list[Optional[float]]:
+    """First sign change on [0, t_max] of each of ``n_rows`` margin rows.
 
-    ``margin(rows, t)``, with ``rows`` an (r, 1) index column and ``t`` a
-    slice of ``grid``, gives (r, len(t)) margins, or one row in 1d.  Rows go
-    SCAN_BLOCK at a time, each chunk walks the grid BLOCK_TIMES times at a
-    time, in order, and a row is dropped after the block holding its first
-    hit, so nothing past that block is evaluated.  A NaN margin is no hit.
+    ``margin(rows, t)`` gives the margins of the rows indexed by ``rows``, each
+    at its own time in ``t``.  Every row is evaluated once at t_max: since
+    concurrence never increases under local semigroup noise (Wootters, PRL
+    80, 2245 (1998)), a row whose margin there is positive (or NaN) never dies
+    on [0, t_max] and gets None.  The other rows bisect [0, t_max] in
+    lockstep, each down to ESD_RESOLUTION * min(1, t_max) or to adjacent
+    floats, and get the nonpositive end of their bracket.  The margin at
+    t = 0 is the caller's to check.
     """
-    idx = np.zeros(n_rows, dtype=np.intp)
-    for start in range(0, n_rows, SCAN_BLOCK):
-        rows = np.arange(start, min(start + SCAN_BLOCK, n_rows))
-        for lo in range(0, len(grid), BLOCK_TIMES):
-            hits = np.atleast_2d(margin(rows[:, None], grid[lo:lo + BLOCK_TIMES])) <= 0.0
-            hits[:, 0] &= lo > 0  # a margin at t = 0 is never a hit
-            hit = hits.any(axis=1)
-            idx[rows[hit]] = lo + hits[hit].argmax(axis=1)
-            rows = rows[~hit]
-            if not len(rows):
-                break
-    return idx
-
-
-def first_root(margin, grid, idx) -> list[Optional[float]]:
-    """First sign change of each row, from its first-hit index ``idx`` on ``grid``.
-
-    ``idx`` is what ``_first_hits`` returns: per row the index of its first
-    nonpositive margin past t = 0, or 0 for none.  Each row's bracket
-    [grid[idx - 1], grid[idx]] is bisected on ``margin(rows, t)``, the
-    margins of those rows at their own times, all rows in lockstep, each down
-    to ESD_RESOLUTION or to adjacent floats.  Returns per row the nonpositive
-    end of the bracket, or None when the row has no hit.
-    """
-    rows = np.flatnonzero(idx)  # the rows still bisecting, with their brackets
-    lo, hi = grid[idx[rows] - 1], grid[idx[rows]]
-    roots = np.zeros(len(idx))
+    dies = margin(np.arange(n_rows), np.full(n_rows, t_max)) <= 0.0  # False at NaN
+    rows = np.flatnonzero(dies)  # the rows still bisecting, with their brackets
+    lo, hi = np.zeros(len(rows)), np.full(len(rows), t_max)
+    roots = np.zeros(n_rows)
+    width = ESD_RESOLUTION * min(1.0, t_max)
     while True:
         mid = 0.5 * (lo + hi)
-        go = (hi - lo > ESD_RESOLUTION) & (lo < mid) & (mid < hi)
+        go = (hi - lo > width) & (lo < mid) & (mid < hi)
         if not go.all():
             roots[rows[~go]] = hi[~go]
             rows, lo, hi, mid = rows[go], lo[go], hi[go], mid[go]
@@ -321,7 +300,7 @@ def first_root(margin, grid, idx) -> list[Optional[float]]:
             break
         dead = margin(rows, mid) <= 0.0
         lo, hi = np.where(dead, lo, mid), np.where(dead, mid, hi)
-    return [t if i else None for i, t in zip(idx.tolist(), roots.tolist())]
+    return [t if d else None for d, t in zip(dies.tolist(), roots.tolist())]
 
 
 def _horizon(specs: tuple, t_max: Optional[float]) -> float:
@@ -347,17 +326,14 @@ def esd_time(
     when that is None, up to the default horizon of ``_horizon``.
 
     The horizon is checked first, and the margin is then probed at t = 0,
-    so SeparableStateError comes before any error of a later time.  The grid
-    ``linspace(0, t_max, SCAN_POINTS + 1)`` is then scanned by ``_first_hits``,
-    the scan ``diagram_grid`` shares, BLOCK_TIMES times at a time, in order,
-    up to the first block holding a nonpositive margin past t = 0;
-    ``first_root`` bisects that first sign change to ESD_RESOLUTION and reads
-    nothing past it, so the blocks left unscanned change no bit.
-    Concurrence never increases under these local semigroup channels
-    (Wootters, PRL 80, 2245 (1998)), so that zero stays zero and needs no
-    check past it.  Returns None when the margin stays positive on the
-    whole grid, and raises SeparableStateError when there is nothing to
-    lose at t = 0.
+    so SeparableStateError comes before any error of a later time.  Then
+    ``first_root``, the root finder ``diagram_grid`` shares, reads the margin
+    at t_max and, when it is nonpositive there, bisects [0, t_max] down to
+    ESD_RESOLUTION * min(1, t_max).  Concurrence never increases under these
+    local semigroup channels (Wootters, PRL 80, 2245 (1998)), so the sign at
+    t_max decides whether the state dies.  Returns None when the margin is
+    still positive at t_max, and raises SeparableStateError when there is
+    nothing to lose at t = 0.
 
     For a DensityMatrix the margin is read off the evolved 4x4 matrix, so
     there is a precision floor: once the concurrence is below the roundoff
@@ -373,9 +349,7 @@ def esd_time(
         margins_at = functools.partial(_evolved_margins, initial, specs)
     if margins_at(np.zeros(1))[0] <= 0.0:
         raise SeparableStateError("initial state is separable (zero concurrence)")
-    grid = np.linspace(0.0, t_max, SCAN_POINTS + 1)
-    margin = lambda _, t: margins_at(t)  # one row, whatever its index
-    return first_root(margin, grid, _first_hits(margin, 1, grid))[0]
+    return first_root(lambda _, t: margins_at(t), 1, t_max)[0]  # one row
 
 
 class DecayKind(Enum):
@@ -434,9 +408,10 @@ def diagram_grid(
     XState built: cells outside |z| <= (1 - a)/2 + XSTATE_TOL, or with a
     non-finite a or z, are INVALID.  A valid cell is live when its clamped
     z_in = min(z, (1 - a)/2), half its concurrence, is nonzero.  Live cells go
-    through the scan ``_first_hits``, each dropped after the block where it dies,
-    and one lockstep bisection, and get the bits ``esd_time`` gives each at the
-    same horizon, checked on entry as there.  Rows are a-major, z-minor.
+    through one ``first_root`` call, one margin row each: a cell that survives
+    costs one evaluation, at t_max, and the dying cells bisect in lockstep.
+    Each gets the bits ``esd_time`` gives it at the same horizon, checked on
+    entry as there.  Rows are a-major, z-minor.
     """
     specs = tuple(specs)
     t_max = _horizon(specs, t_max)  # even when no cell is live
@@ -451,9 +426,8 @@ def diagram_grid(
     t_stars: list[Optional[float]] = [None] * len(kinds)
     if len(live):
         entries = np.array([a[live], half[live], half[live], np.zeros(len(live)), z_in[live]])
-        grid = np.linspace(0.0, t_max, SCAN_POINTS + 1)
         margin = lambda rows, t: _x_margins(entries[:, rows], rates, t)
-        roots = first_root(margin, grid, _first_hits(margin, len(live), grid))
+        roots = first_root(margin, len(live), t_max)
         for i, t_star in zip(live.tolist(), roots):
             kinds[i] = DecayKind.EXPONENTIAL if t_star is None else DecayKind.SUDDEN_DEATH
             t_stars[i] = t_star
