@@ -18,6 +18,10 @@ The two-noise form vanishes at the root of its bracket and stays zero; the
 single-noise forms only decay exponentially.  The root exists exactly when
 rate_amp > 0 and (rate_phase > 0 or lam < 3); this layer bisects it on its
 own and shares no root finder or horizon with the numerical routes.
+
+The phase diagram's d = 0 X states have their own exact laws: ``d0_dies``
+decides in exact rationals whether one dies, and ``d0_death_time`` gives the
+death time under amplitude noise alone in closed form.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import sys
 from typing import Optional
 
 from .channels import check_rates, check_time
-from .concurrence import check_lambda
+from .concurrence import SeparableStateError, XState, check_lambda
 
 
 def coherence_factor(rate_amp: float, rate_phase: float, t: float) -> float:
@@ -116,3 +120,63 @@ def combined_death_time(
     while lo < (mid := lo + 0.5 * (hi - lo)) < hi:  # the midpoint cannot overflow
         lo, hi = (lo, mid) if _bracket(lam, rate_amp, rate_phase, mid) <= 0 else (mid, hi)
     return hi
+
+
+def d0_dies(x: XState, rate_amp: float, rate_phase: float) -> bool:
+    """Whether an entangled d = 0 X state dies in finite time under amplitude
+    rate ``rate_amp`` and phase rate ``rate_phase`` on both qubits.
+
+    Derivation, in the rate convention of :mod:`esdlab.channels` (``evolve_x``
+    writes it out): with g = exp(-rate_amp t), a(t) = g^2 a0, the coherence
+    is |z(t)| = g exp(-rate_phase t) |z0|, and with w = 1 - g,
+    d(t) = a0 w^2 + s w + d0, s = b0 + c0.  The concurrence is
+    2 max{0, |z(t)| - sqrt(a(t) d(t))}; divide out the shared g, and with
+    d0 = 0 the state is dead at t exactly when
+
+        |z0|^2 exp(-2 rate_phase t) <= a0 (a0 w^2 + s w).
+
+    At t = 0 the left side |z0|^2 > 0 exceeds the right side 0.
+      * rate_amp = 0: w = 0, the right side stays 0: never dies.
+      * rate_phase = 0: the right side rises with w to its t -> oo limit
+        a0 (a0 + s), which w never reaches: dies iff a0 (a0 + s) > |z0|^2.
+      * both > 0: the left side falls to 0 and the right side rises to
+        a0 (a0 + s): dies iff a0 > 0.
+    The comparison is made in exact rationals on the stored floats, so a tie
+    (the lattice cell a = 1/9, |z| = 1/3 is one) does not die.
+    """
+    check_rates(rate_amp=rate_amp, rate_phase=rate_phase)
+    if x.d != 0.0:
+        raise ValueError("the rule is defined on the d = 0 slice")
+    if x.z == 0:
+        raise SeparableStateError("the state is separable (zero concurrence)")
+    if rate_amp == 0:
+        return False
+    if rate_phase > 0:
+        return x.a > 0
+    from fractions import Fraction  # here, not at the top: it imports decimal, ~3 ms per CLI start
+
+    a, z = Fraction(x.a), complex(x.z)
+    return a * (a + Fraction(x.b) + Fraction(x.c)) > Fraction(z.real) ** 2 + Fraction(z.imag) ** 2
+
+
+def d0_death_time(x: XState, rate: float) -> Optional[float]:
+    """Death time of an entangled d = 0 X state under amplitude rate ``rate`` on
+    both qubits, None when it never dies (``d0_dies`` at phase rate 0).
+
+    With ``d0_dies``' notation at rate_phase = 0, the death is where
+    a0^2 w^2 + a0 s w - |z0|^2 = 0.  The positive root, rationalized so that
+    nothing cancels, is
+
+        w* = 2 |z0|^2 / (a0 (s + sqrt(s^2 + 4 |z0|^2))),
+
+    and w = 1 - exp(-rate t) gives t* = -log1p(-w*) / rate.  ValueError when
+    that is not a finite float: w* rounded to 1, or the quotient overflowed.
+    """
+    if not d0_dies(x, rate, 0.0):
+        return None
+    s, z2 = x.b + x.c, abs(x.z) ** 2
+    w = 2.0 * z2 / (x.a * (s + math.sqrt(s * s + 4.0 * z2)))
+    t_star = -math.log1p(-w) / rate if w < 1.0 else math.inf
+    if t_star == math.inf:
+        raise ValueError("the death time is not a finite float")
+    return t_star

@@ -14,7 +14,7 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -276,29 +276,34 @@ def trace_concurrence(
 def first_root(margin, n_rows: int, t_max: float) -> list[Optional[float]]:
     """First sign change on [0, t_max] of each of ``n_rows`` margin rows.
 
-    ``margin(rows, t)`` gives the margins of the rows indexed by ``rows``, each
-    at its own time in ``t``.  Every row is evaluated once at t_max: since
-    concurrence never increases under local semigroup noise (Wootters, PRL
-    80, 2245 (1998)), a row whose margin there is positive (or NaN) never dies
-    on [0, t_max] and gets None.  The other rows bisect [0, t_max] in
-    lockstep, each down to ESD_RESOLUTION * min(1, t_max) or to adjacent
-    floats, and get the nonpositive end of their bracket.  The margin at
-    t = 0 is the caller's to check.
+    ``margin(rows)`` gives the evaluator of the rows indexed by ``rows``, a
+    function of one time per row that returns their margins.  It is called
+    for all rows, for the rows that bisect and again only when some finish,
+    not per level, so the lattice gathers its rows once per live-row set.
+    Every row is evaluated once at t_max: since concurrence never increases
+    under local semigroup noise (Wootters, PRL 80, 2245 (1998)), a row whose
+    margin there is positive (or NaN) never dies on [0, t_max] and gets
+    None.  The other rows bisect [0, t_max] in lockstep, each down to
+    ESD_RESOLUTION * min(1, t_max) or to adjacent floats, and get the
+    nonpositive end of their bracket.  The margin at t = 0 is the caller's
+    to check.
     """
-    dies = margin(np.arange(n_rows), np.full(n_rows, t_max)) <= 0.0  # False at NaN
+    dies = margin(np.arange(n_rows))(np.full(n_rows, t_max)) <= 0.0  # False at NaN
     rows = np.flatnonzero(dies)  # the rows still bisecting, with their brackets
     lo, hi = np.zeros(len(rows)), np.full(len(rows), t_max)
     roots = np.zeros(n_rows)
     width = ESD_RESOLUTION * min(1.0, t_max)
+    margin_at = margin(rows)
     while True:
         mid = 0.5 * (lo + hi)
         go = (hi - lo > width) & (lo < mid) & (mid < hi)
         if not go.all():
             roots[rows[~go]] = hi[~go]
             rows, lo, hi, mid = rows[go], lo[go], hi[go], mid[go]
+            margin_at = margin(rows)
         if not len(rows):
             break
-        dead = margin(rows, mid) <= 0.0
+        dead = margin_at(mid) <= 0.0
         lo, hi = np.where(dead, lo, mid), np.where(dead, mid, hi)
     return [t if d else None for d, t in zip(dies.tolist(), roots.tolist())]
 
@@ -349,7 +354,7 @@ def esd_time(
         margins_at = functools.partial(_evolved_margins, initial, specs)
     if margins_at(np.zeros(1))[0] <= 0.0:
         raise SeparableStateError("initial state is separable (zero concurrence)")
-    return first_root(lambda _, t: margins_at(t), 1, t_max)[0]  # one row
+    return first_root(lambda _: margins_at, 1, t_max)[0]  # one row
 
 
 class DecayKind(Enum):
@@ -388,8 +393,10 @@ def classify(x: XState, specs: Iterable[NoiseSpec]) -> DecayClass:
     return DecayClass(DecayKind.SUDDEN_DEATH, t_star)
 
 
-@dataclass(frozen=True)
-class DiagramCell:
+class DiagramCell(NamedTuple):
+    """A lattice cell: a, |z|, its class and a SUDDEN_DEATH cell's t*.  A tuple:
+    it equals, hashes, iterates and indexes as the plain tuple of its values."""
+
     a: float
     z: float
     kind: DecayKind
@@ -404,11 +411,13 @@ def diagram_grid(
 ) -> list[DiagramCell]:
     """Classify the (a, |z|) lattice of d = 0 states with b = c = (1 - a)/2.
 
-    One validity mask over the lattice arrays decides every cell, with no
-    XState built: cells outside |z| <= (1 - a)/2 + XSTATE_TOL, or with a
-    non-finite a or z, are INVALID.  A valid cell is live when its clamped
-    z_in = min(z, (1 - a)/2), half its concurrence, is nonzero.  Live cells go
-    through one ``first_root`` call, one margin row each: a cell that survives
+    Each axis must be 1d (ValueError naming it otherwise), checked after the
+    horizon.  One validity mask over the lattice arrays decides every cell,
+    with no XState built: cells outside |z| <= (1 - a)/2 + XSTATE_TOL, or
+    with a non-finite a or z, are INVALID.  A valid cell is live when its
+    clamped z_in = min(z, (1 - a)/2), half its concurrence, is nonzero.  Live
+    cells go through one ``first_root`` call, one margin row each, whose
+    entries are gathered once per set of live rows: a cell that survives
     costs one evaluation, at t_max, and the dying cells bisect in lockstep.
     Each gets the bits ``esd_time`` gives it at the same horizon, checked on
     entry as there.  Rows are a-major, z-minor.
@@ -417,18 +426,21 @@ def diagram_grid(
     t_max = _horizon(specs, t_max)  # even when no cell is live
     rates = _x_rates(specs)
     a_axis, z_axis = np.asarray(a_values, dtype=float), np.asarray(z_values, dtype=float)
+    for name, axis in (("a_values", a_axis), ("z_values", z_axis)):
+        if axis.ndim != 1:
+            raise ValueError(f"{name} must be a 1d axis, got shape {axis.shape}")
     a, z = np.repeat(a_axis, len(z_axis)), np.tile(z_axis, len(a_axis))
     half = 0.5 * (1.0 - a)
     valid = (0 <= a) & (a <= 1) & (0 <= z) & (z <= half + XSTATE_TOL)  # False at nan
     z_in = np.minimum(z, half)
     live = np.flatnonzero(valid & (z_in != 0.0))  # d = 0: concurrence 2 z_in
-    kinds = [DecayKind.SEPARABLE_AT_START if ok else DecayKind.INVALID for ok in valid.tolist()]
+    # each enum member is looked up once, not per cell: a bool indexes each pair
+    kinds = list(map((DecayKind.INVALID, DecayKind.SEPARABLE_AT_START).__getitem__, valid.tolist()))
     t_stars: list[Optional[float]] = [None] * len(kinds)
     if len(live):
         entries = np.array([a[live], half[live], half[live], np.zeros(len(live)), z_in[live]])
-        margin = lambda rows, t: _x_margins(entries[:, rows], rates, t)
-        roots = first_root(margin, len(live), t_max)
-        for i, t_star in zip(live.tolist(), roots):
-            kinds[i] = DecayKind.EXPONENTIAL if t_star is None else DecayKind.SUDDEN_DEATH
-            t_stars[i] = t_star
-    return [DiagramCell(*cell) for cell in zip(a.tolist(), z.tolist(), kinds, t_stars)]
+        margin = lambda rows: functools.partial(_x_margins, entries[:, rows], rates)
+        ends = (DecayKind.SUDDEN_DEATH, DecayKind.EXPONENTIAL)
+        for i, t_star in zip(live.tolist(), first_root(margin, len(live), t_max)):
+            kinds[i], t_stars[i] = ends[t_star is None], t_star
+    return list(map(DiagramCell._make, zip(a.tolist(), z.tolist(), kinds, t_stars)))

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from esdlab import (
+    SeparableStateError,
+    XState,
     amplitude_concurrence,
     amplitude_elements,
     coherence_factor,
@@ -15,6 +17,7 @@ from esdlab import (
     lambda_state,
     phase_concurrence,
 )
+from esdlab.closedform import d0_death_time, d0_dies
 
 T_STAR_COMBINED_4 = 0.673460816143141
 T_STAR_AMP_2 = 0.6389165189617606
@@ -220,3 +223,37 @@ def test_every_time_argument_must_be_finite_and_nonnegative():
                      lambda: evolve_x(lambda_state(4.0), (), bad)):
             with pytest.raises(ValueError, match="^time must be finite and >= 0"):
                 call()
+
+
+@pytest.mark.parametrize("lam, tol", [(0.5, 1e-13), (1.0, 1e-13), (2.0, 1e-13), (2.9, 1e-13),
+                                      (3.0 - 1e-9, 1e-8)])
+def test_d0_death_time_matches_the_lambda_family_root(lam, tol):
+    # lambda_state is a d = 0 X state: under amplitude noise alone its death
+    # time is the two-noise bracket's root at rate_phase = 0, found there by bisection
+    for rate in (0.5, 1.0, 2.0):
+        t_star = d0_death_time(lambda_state(lam), rate)
+        exact = _decimal_root(lam, rate, 0.0, t_star)
+        assert abs(Decimal(t_star) / exact - 1) <= Decimal(tol), (lam, rate)
+        assert abs(t_star / combined_death_time(lam, rate, 0.0) - 1) <= 1e2 * tol
+
+
+def test_d0_dies_class_rule():
+    # lambda = 3 is the exact tie a (a + b + c) = |z|^2 on the stored floats
+    for lam, dies in ((2.9, True), (3.0, False), (3.5, False)):
+        assert d0_dies(lambda_state(lam), 1.0, 0.0) is dies
+        assert (d0_death_time(lambda_state(lam), 1.0) is None) is not dies
+    assert d0_dies(lambda_state(4.0), 1.0, 1e-300) is True  # both kinds: any a > 0 dies
+    assert d0_dies(XState(0.0, 0.5, 0.5, 0.0, 0.3), 1.0, 1.0) is False
+    assert d0_dies(lambda_state(1.0), 0.0, 1.0) is False  # phase alone never kills
+    assert d0_dies(XState(0.5, 0.25, 0.25, 0.0, 0.25j), 1.0, 0.0) is True  # a complex z
+    with pytest.raises(ValueError, match="d = 0 slice"):
+        d0_dies(XState(0.1, 0.4, 0.4, 0.1, 0.3), 1.0, 0.0)
+    with pytest.raises(SeparableStateError):
+        d0_death_time(XState(0.2, 0.4, 0.4, 0.0, 0.0), 1.0)
+    for bad in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="must be finite and >= 0"):
+            d0_dies(lambda_state(2.0), 1.0, bad)
+        with pytest.raises(ValueError, match="must be finite and >= 0"):
+            d0_death_time(lambda_state(2.0), bad)
+    with pytest.raises(ValueError, match="not a finite float"):
+        d0_death_time(lambda_state(2.0), 5e-324)

@@ -39,6 +39,7 @@ from esdlab import (
 from esdlab.channels import check_times, evolve_states, noise_channel, transfer_states
 from esdlab.cli import main
 from esdlab.checks import additivity_series, equivalence_state
+from esdlab.closedform import d0_death_time, d0_dies
 
 # two specs whose rates are finite but whose sum overflows to inf
 OVERFLOWING = (NoiseSpec("A", "amplitude", 1e308), NoiseSpec("A", "amplitude", 1e308))
@@ -365,6 +366,8 @@ LIBRARY = {  # name: (call, base arguments, positions of two or more rates moved
                        RATES + (0.0, 1e-3, 1e-4), range(4)),  # 10 RK4 steps at the base dt
     "additivity_series": (lambda *r: additivity_series(r[0], r[1], r[2:4], r[4]),
                           (1.0, 1.0, 0.0, 1e-3, 1e-4), (0, 1)),
+    "d0_dies": (lambda *r: d0_dies(lambda_state(2.0), *r), (1.0, 1.0), (0, 1)),
+    "d0_death_time": (lambda r: d0_death_time(lambda_state(2.0), r), (1.0,), ()),
 }
 
 
@@ -421,6 +424,7 @@ KINDS_OF = {
     "evolve_x": "RRRRT", "trace_x": "RRRRT-", "trace_general": "RRRRT-",
     "esd_time_x": "RRRR-", "esd_time_general": "RRRR-", "classify": "RRRR",
     "diagram_grid": "RRRR---", "integrate_path": "RRRRT-D", "additivity_series": "RRT-D",
+    "d0_dies": "RR", "d0_death_time": "R",
 }
 GOOD = {"R": [0.0, -0.0, 5e-324, 1e-308, 1e-300, 1.0, 1e300, sys.float_info.max],
         "T": [0.0, -0.0], "L": [5e-324, 1e-300, 1.0, 3.0, 4.0], "D": [1.0, 5e-324]}
@@ -459,6 +463,9 @@ def _refusal(name, args):
     if name == "combined_death_time" and args[0] > 3 and min(rates) > 0:
         if math.log(args[0] / 3) / rates[1] > sys.float_info.max:
             return "past the largest float"
+    # lambda_state(2) dies at rate * t* = 0.639 under amplitude noise alone
+    if name == "d0_death_time" and 0 < rates[0] < 0.64 / sys.float_info.max:
+        return "not a finite float"
     if name == "additivity_series" and 2 * rates[1] == math.inf:
         return r"2 \* gamma2 must be finite and >= 0, got inf"  # the RK4 route's phase rate
     if name == "integrate_path" and all(rate == sys.float_info.max for rate in rates):

@@ -9,6 +9,9 @@ once, at t_max, and a dying one only at midpoints inside (0, t_max).  A
 scan-and-bisect over a 513-point grid, ``_first_root_1d``, is the
 independent reference: the same class everywhere, t* within ESD_RESOLUTION
 (or two ulps), and the same bits wherever its grid step t_max / 512 is exact.
+Apart from the numerics, the diagram's classes must follow closedform's
+exact class rule, panel i's t* its closed form, and the Kraus oracle must
+bracket sampled deaths.
 """
 
 import functools
@@ -21,18 +24,23 @@ import pytest
 
 from esdlab import (
     DecayKind,
+    DiagramCell,
     NoiseSpec,
     XState,
     concurrence_x,
     diagram_grid,
     esd_time,
 )
+from esdlab.channels import evolve_states
+from esdlab.checks import WITNESS_TOL
+from esdlab.closedform import d0_death_time, d0_dies
 from esdlab.concurrence import (
     ESD_RESOLUTION,
     _evolved_margins,
     _x_entries,
     _x_margins,
     _x_rates,
+    concurrence_margins,
     first_root,
     lambda_state,
 )
@@ -216,6 +224,106 @@ def test_diagram_grid_tracemalloc_peak_stays_small():
     assert peak < 5e6
 
 
+UNIT = {panel: tuple(NoiseSpec(q, kind, 1.0) for kind in kinds for q in "AB")
+        for panel, kinds in PANELS.items()}
+
+
+def test_diagram_cell_is_a_named_tuple_with_pinned_reprs():
+    # bench/workloads.py digests repr(diagram_grid(...)): these bytes are the contract
+    dying, invalid = diagram_grid([0.2, 2.0], [0.3], UNIT["iii"])
+    [surviving] = diagram_grid([0.2], [0.3], UNIT["ii"])
+    assert repr(dying) == ("DiagramCell(a=0.2, z=0.3, kind=<DecayKind.SUDDEN_DEATH: "
+                           "'SUDDEN_DEATH'>, t_star=0.3228259536263067)")
+    assert repr(surviving) == ("DiagramCell(a=0.2, z=0.3, kind=<DecayKind.EXPONENTIAL: "
+                               "'EXPONENTIAL'>, t_star=None)")
+    assert repr(invalid) == ("DiagramCell(a=2.0, z=0.3, kind=<DecayKind.INVALID: "
+                             "'INVALID'>, t_star=None)")
+    assert DiagramCell._fields == ("a", "z", "kind", "t_star")
+    assert DiagramCell(0.2, 0.3, DecayKind.EXPONENTIAL) == surviving
+    assert surviving == (0.2, 0.3, DecayKind.EXPONENTIAL, None)
+    twin = DiagramCell(0.2, 0.3, DecayKind.SUDDEN_DEATH, 0.3228259536263067)
+    assert twin == dying and hash(twin) == hash(dying) and twin != surviving
+    with pytest.raises(AttributeError):
+        dying.t_star = 1.0
+
+
+@pytest.mark.parametrize("a_values, z_values, name", [
+    ([[0.2, 0.3]], [0.1], "a_values"),  # a 2d axis used to drop cells
+    ([0.2], [[0.1], [0.2]], "z_values"),
+    (0.2, [0.1], "a_values"),  # a scalar axis used to raise TypeError
+    ([0.2], 0.1, "z_values"),
+])
+def test_diagram_grid_requires_1d_axes(a_values, z_values, name):
+    with pytest.raises(ValueError, match=f"{name} must be a 1d axis"):
+        diagram_grid(a_values, z_values, UNIT["i"])
+
+
+def _death_bound_iii(x, rate_amp, rate_phase):
+    """A time by which a d = 0 cell with a > 0 is dead under both kinds: from
+    ln 2 / rate_amp on, w >= 1/2 and a (a w^2 + s w) >= m = a (a / 4 + s / 2), and
+    |z|^2 exp(-2 rate_phase t) <= m from ln(|z|^2 / m) / (2 rate_phase) on."""
+    m = x.a * (0.25 * x.a + 0.5 * (x.b + x.c))
+    return max(math.log(2.0) / rate_amp, math.log(abs(x.z) ** 2 / m) / (2.0 * rate_phase))
+
+
+def test_diagram_grid_matches_the_closed_form_class_rule(rng):
+    """Classes against closedform.d0_dies on all three panels, panel i's t*
+    against d0_death_time, and panel iii's t* below its closed-form bound.
+    A cell whose closed-form death (or bound) lies past half the default
+    horizon is skipped: there the numerical class may read EXPONENTIAL.
+    The Kraus oracle brackets a seeded sample of the deaths."""
+    rate_amp, rate_phase = rng.uniform(0.5, 2.0, 2)
+    # the tie (1/9, 1/3); z just below the panel-i edge |z| = sqrt(a) at a = 0.04,
+    # 0.09 and 0.16, dying at rate * t* of about 6.3, 13.2 and 22.5; a = 1e-30 dies late
+    # on panel iii
+    a_values = np.concatenate([[0.0, 1 / 9, 1.0, 1e-30, 0.04, 0.09, 0.16],
+                               rng.uniform(0.0, 1.0, 17)])
+    z_values = np.concatenate([[0.0, 1 / 3, 0.2 * (1 - 1e-3), 0.3 * (1 - 1e-6),
+                                0.4 * (1 - 1e-10)], rng.uniform(0.0, 0.5, 19)])
+    deaths, skipped, cells, noise = {}, {}, {}, {}
+    for panel, kinds in PANELS.items():
+        amp = rate_amp if "amplitude" in kinds else 0.0
+        phase = rate_phase if "phase" in kinds else 0.0
+        specs = tuple(NoiseSpec(q, kind, amp if kind == "amplitude" else phase)
+                      for kind in kinds for q in "AB")
+        half_horizon = 10.0 / min(s.rate for s in specs)
+        deaths[panel], skipped[panel], noise[panel] = 0, 0, specs
+        cells[panel] = diagram_grid(a_values, z_values, specs)
+        for cell in cells[panel]:
+            if cell.kind not in (DecayKind.EXPONENTIAL, DecayKind.SUDDEN_DEATH):
+                continue
+            half = 0.5 * (1.0 - cell.a)
+            x = XState(cell.a, half, half, 0.0, min(cell.z, half))
+            dies = d0_dies(x, amp, phase)
+            bound = None
+            if dies:
+                bound = d0_death_time(x, amp) if panel == "i" else _death_bound_iii(x, amp, phase)
+            if dies and bound > half_horizon:
+                skipped[panel] += 1
+                continue
+            assert (cell.kind is DecayKind.SUDDEN_DEATH) == dies, (panel, cell)
+            if dies:
+                deaths[panel] += 1
+                assert cell.t_star <= bound + WITNESS_TOL, (panel, cell, bound)
+            if panel == "i" and dies:
+                assert abs(cell.t_star - bound) <= WITNESS_TOL, (cell, bound)
+    # the tie a (a + b + c) = |z|^2, exact in rationals, does not die on panel i
+    tie = [i for i, c in enumerate(cells["i"]) if (c.a, c.z) == (1 / 9, 1 / 3)]
+    assert [cells[p][i].kind for p in PANELS for i in tie] == [
+        DecayKind.EXPONENTIAL, DecayKind.EXPONENTIAL, DecayKind.SUDDEN_DEATH]
+    assert deaths == {"i": 167, "ii": 0, "iii": 215}
+    assert skipped == {"i": 2, "ii": 0, "iii": 23}
+    for panel in ("i", "iii"):  # the third route: Kraus sets, general formula
+        dying = [c for c in cells[panel] if c.kind is DecayKind.SUDDEN_DEATH]
+        for k in rng.choice(len(dying), 4, replace=False):
+            a, z, _, t_star = dying[k]
+            half = 0.5 * (1.0 - a)
+            rho = XState(a, half, half, 0.0, min(z, half)).to_density()
+            times = [t_star * (1 - 1e-6), t_star * (1 + 1e-6)]
+            before, after = concurrence_margins(evolve_states(rho, noise[panel], times))
+            assert before > 0.0 >= after, (panel, dying[k])
+
+
 def _bisection_calls(t_max):
     """The most margin calls a bisection of [0, t_max] may take: one per level
     down to ESD_RESOLUTION * min(1, t_max), and one more for rounding."""
@@ -257,8 +365,8 @@ def test_diagram_grid_evaluates_a_surviving_cell_once(monkeypatch, rng):
 
 
 def _linear_rows(thresholds):
-    """The (rows, t) evaluator of margins c - t, with roots c."""
-    return lambda rows, t: thresholds[rows] - t
+    """The margin of first_root for margins c - t, with roots c: rows -> (t -> c[rows] - t)."""
+    return lambda rows: lambda t: thresholds[rows] - t
 
 
 def test_first_root_rows_match_one_row_calls_and_the_reference(rng):
@@ -273,7 +381,7 @@ def test_first_root_rows_match_one_row_calls_and_the_reference(rng):
     assert got[20] is None and got[21] is None and got[23] is None
     assert got[22] == t_max
     for row, c in enumerate(thresholds):
-        one = first_root(lambda _, t: c - t, 1, t_max)
+        one = first_root(lambda _: lambda t: c - t, 1, t_max)
         ref = _bisect_1d(lambda t: c - t, t_max)
         scan = _first_root_1d(lambda t: c - t, grid, c - grid, ESD_RESOLUTION)
         assert repr(got[row]) == repr(one[0]) == repr(ref) == repr(scan), row
@@ -284,7 +392,7 @@ def test_first_root_hit_at_first_grid_point():
     margin = _linear_rows(np.array([0.01, 0.125]))
     got = first_root(margin, 2, 1.0)
     assert 0.0 < got[0] <= 0.125 and got[1] == 0.125
-    assert got[0] - 0.01 <= ESD_RESOLUTION and margin(np.array([0]), np.array([got[0]]))[0] <= 0.0
+    assert got[0] - 0.01 <= ESD_RESOLUTION and margin(np.array([0]))(np.array([got[0]]))[0] <= 0.0
     assert repr(got) == repr([_bisect_1d(lambda t: c - t, 1.0) for c in (0.01, 0.125)])
 
 
@@ -299,6 +407,24 @@ def test_first_root_stops_at_adjacent_floats():
         assert t >= c and np.nextafter(t, 0.0) < c
         assert repr(t) == repr(_bisect_1d(lambda s: c - s, t_max))
         assert repr(t) == repr(_first_root_1d(lambda s: c - s, grid, c - grid, ESD_RESOLUTION))
+
+
+def test_first_root_builds_an_evaluator_only_when_its_rows_change():
+    # what margin(rows) derives from its rows (the lattice's gathered entries)
+    # is built once per set of live rows, not once per bisection level
+    thresholds = np.array([0.3, 0.7, 2.0, 5.0])
+    row_sets, levels = [], []
+
+    def margin(rows):
+        row_sets.append(rows.tolist())
+        def at(t):
+            levels.append(len(t))
+            return thresholds[rows] - t
+        return at
+
+    assert first_root(margin, 4, 1.0) == first_root(_linear_rows(thresholds), 4, 1.0)
+    assert row_sets == [[0, 1, 2, 3], [0, 1], []]
+    assert levels[0] == 4 and set(levels[1:]) == {2} and len(levels) > 30
 
 
 def test_first_root_without_rows():
