@@ -271,6 +271,20 @@ def _transfer_stack(rates: dict, times: np.ndarray, target: str) -> np.ndarray:
     return maps
 
 
+def _regroup(mats: np.ndarray) -> np.ndarray:
+    """(..., 4, 4) two-qubit matrices regrouped from (iA iB, jA jB) to
+    (iA jA, iB jB), and back: the regrouping is its own inverse."""
+    return mats.reshape(*mats.shape[:-2], 2, 2, 2, 2).swapaxes(-3, -2).reshape(mats.shape)
+
+
+def _transfer_blocks(blocks: np.ndarray, rates: dict, times: np.ndarray) -> np.ndarray:
+    """Unchecked (n_t, 4, 4) states from a regrouped rho0, folded rates and a
+    checked grid: two stacked matmuls apply the per-qubit maps, qubit A's on
+    the left of the blocks, qubit B's on the right."""
+    out = _transfer_stack(rates, times, "A") @ blocks
+    return _regroup(out @ _transfer_stack(rates, times, "B").swapaxes(1, 2))
+
+
 def transfer_states(
     rho0: DensityMatrix, specs: Iterable[NoiseSpec], times: Sequence[float]
 ) -> np.ndarray:
@@ -279,17 +293,14 @@ def transfer_states(
 
     The same channels as ``evolve_states`` in another representation
     (Wood, Biamonte & Cory, arXiv:1111.6950): equal to it to roundoff, not
-    bit for bit, with the same time and density checks.  Two stacked
-    matmuls apply the maps, qubit A's on the left of rho0 regrouped as
-    (iA jA, iB jB), qubit B's on the right.
+    bit for bit, with the same time and density checks.  The unchecked core
+    ``_transfer_blocks`` evolves rho0 regrouped as (iA jA, iB jB), and
+    ``check_densities`` checks its result.
     """
     times, rates = _checked_grid(rho0, specs, times)
     if not len(times):
         return np.empty((0, 4, 4), dtype=np.complex128)
-    blocks = rho0.mat.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
-    out = _transfer_stack(rates, times, "A") @ blocks
-    out = out @ _transfer_stack(rates, times, "B").swapaxes(1, 2)
-    return check_densities(out.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(-1, 4, 4))
+    return check_densities(_transfer_blocks(_regroup(rho0.mat), rates, times))
 
 
 def _lift_op(op: np.ndarray, target: str, n_qubits: int) -> np.ndarray:

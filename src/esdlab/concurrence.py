@@ -22,13 +22,23 @@ from .channels import (
     KINDS,
     TARGETS,
     NoiseSpec,
+    _checked_grid,
     _damping,
+    _regroup,
+    _transfer_blocks,
     check_time,
     check_times,
     fold_rates,
     transfer_states,
 )
-from .linalg import DensityMatrix, check_x_densities, kron, product_spectrum, validate_density
+from .linalg import (
+    DensityMatrix,
+    check_densities,
+    check_x_densities,
+    kron,
+    product_spectrum,
+    validate_density,
+)
 
 # first_root bisects [0, t_max] down to ESD_RESOLUTION * min(1, t_max): an absolute
 # width for horizons >= 1, a relative one for shorter horizons
@@ -345,16 +355,35 @@ def esd_time(
     of the evolved entries, no test on that matrix can decide death, and a
     late t* may be an artifact.  The X route reads the margin from
     ``_x_margins`` instead, which divides out the decay its terms share.
+
+    A DensityMatrix's dimension is checked and its rates folded once per
+    call, as ``transfer_states`` does per grid.  Each probe and midpoint is
+    evolved by the unchecked core ``channels._transfer_blocks``, with the
+    margins and bits of ``transfer_states``, and every evolved state is
+    checked by one stacked ``check_densities`` before this returns or
+    raises: an invalid one raises its ValidationError, which wins over a
+    NumericalFailureError from its spectrum and over SeparableStateError.
     """
     specs = tuple(specs)
     t_max = _horizon(specs, t_max)
+    states = []  # a DensityMatrix's evolved states, checked on the way out
     if isinstance(initial, XState):
         margins_at = functools.partial(_x_margins, _x_entries(initial), _x_rates(specs))
     else:
-        margins_at = functools.partial(_evolved_margins, initial, specs)
-    if margins_at(np.zeros(1))[0] <= 0.0:
-        raise SeparableStateError("initial state is separable (zero concurrence)")
-    return first_root(lambda _: margins_at, 1, t_max)[0]  # one row
+        _, rates = _checked_grid(initial, specs, ())  # the dimension check, folded rates
+        blocks = _regroup(initial.mat)
+
+        def margins_at(times):
+            states.append(_transfer_blocks(blocks, rates, times))
+            return concurrence_margins(states[-1])
+
+    try:
+        if margins_at(np.zeros(1))[0] <= 0.0:
+            raise SeparableStateError("initial state is separable (zero concurrence)")
+        return first_root(lambda _: margins_at, 1, t_max)[0]  # one row
+    finally:
+        if states:
+            check_densities(np.concatenate(states))
 
 
 class DecayKind(Enum):

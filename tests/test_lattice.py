@@ -26,17 +26,20 @@ from esdlab import (
     DecayKind,
     DiagramCell,
     NoiseSpec,
+    SeparableStateError,
     XState,
     concurrence_x,
     diagram_grid,
     esd_time,
+    validate_density,
 )
-from esdlab.channels import evolve_states
+from esdlab.channels import _regroup, _transfer_blocks, evolve_states, fold_rates
 from esdlab.checks import WITNESS_TOL
 from esdlab.closedform import d0_death_time, d0_dies
 from esdlab.concurrence import (
     ESD_RESOLUTION,
     _evolved_margins,
+    _horizon,
     _x_entries,
     _x_margins,
     _x_rates,
@@ -137,6 +140,15 @@ def _reference_cells(a_values, z_values, specs, t_max, scan=False):
     return out
 
 
+def _assert_same_cells(got, want):
+    """Every cell's repr equal, compared cell by cell: when a lattice differs,
+    pytest diffing two whole-lattice reprs takes minutes, not the first
+    differing cell."""
+    assert len(got) == len(want)
+    bad = next((i for i, pair in enumerate(zip(got, want)) if repr(pair[0]) != repr(pair[1])), None)
+    assert bad is None, (bad, got[bad], want[bad])
+
+
 def _assert_matches_scan(got, a_values, z_values, specs, t_max):
     """Every cell in the reference scan's class, t* close to its root, and
     the same bits where the scan grid is exact."""
@@ -145,7 +157,7 @@ def _assert_matches_scan(got, a_values, z_values, specs, t_max):
     for cell, ref in zip(got, want):
         assert cell[:3] == ref[:3] and _close(cell[3], ref[3]), (cell, ref)
     if t_max is not None and _grid_is_exact(t_max):
-        assert repr(got) == repr(want)
+        _assert_same_cells(got, want)
 
 
 def _cells(a_values, z_values, specs, t_max=None):
@@ -167,7 +179,7 @@ def test_diagram_grid_matches_per_cell_reference(rng, panel, t_max):
     a_values, z_values = np.linspace(0.0, 1.0, 15), np.linspace(0.0, 0.5, 14)
     specs = _random_panel(rng, panel)
     got = _cells(a_values, z_values, specs, t_max)
-    assert repr(got) == repr(_reference_cells(a_values, z_values, specs, t_max))
+    _assert_same_cells(got, _reference_cells(a_values, z_values, specs, t_max))
     _assert_matches_scan(got, a_values, z_values, specs, t_max)
     kinds = {cell[2] for cell in got}
     assert {DecayKind.INVALID, DecayKind.SEPARABLE_AT_START} <= kinds
@@ -182,10 +194,10 @@ def test_diagram_grid_matches_reference_off_lattice(rng):
     z_values = np.concatenate([[0.0], rng.uniform(-0.05, 0.55, 30),
                                [-0.0, 5e-13, half, half + 5e-13]])
     specs = _random_panel(rng, "iii")
-    want = repr(_reference_cells(a_values, z_values, specs, None))
+    want = _reference_cells(a_values, z_values, specs, None)
     for a, z in ((a_values, z_values), (a_values.tolist(), z_values.tolist())):
         got = _cells(a, z, specs)
-        assert repr(got) == want
+        _assert_same_cells(got, want)
     _assert_matches_scan(got, a_values, z_values, specs, None)
 
 
@@ -454,6 +466,14 @@ def _bisected(state, specs, t_max):
     return _bisect_1d(lambda t: margins_at(np.array([t]))[0], t_max)
 
 
+def _per_call_esd(state, specs, t_max):
+    """esd_time on the per-call-checked route: the t = 0 probe, then
+    ``_bisected``, every state checked by transfer_states as it is evolved."""
+    if _margins_at(state, specs)(np.zeros(1))[0] <= 0.0:
+        raise SeparableStateError("initial state is separable (zero concurrence)")
+    return _bisected(state, specs, t_max)
+
+
 def _dying_state(rng, route):
     """A seeded X or general state that dies under all four noise kinds, its
     specs and its death time."""
@@ -501,10 +521,11 @@ def test_esd_time_equals_the_full_scan_reference(rng, route):
 def test_esd_time_evaluates_t_0_then_t_max_then_midpoints(monkeypatch, rng, route):
     """The t = 0 probe runs first and t_max second; a surviving state is
     evaluated nowhere else, and a dying one only at midpoints strictly
-    inside (0, t_max), one bisection level per call."""
+    inside (0, t_max), one bisection level per call.  A general state is
+    counted where it is evolved, at the unchecked transfer core."""
     state, specs, t_star = _dying_state(rng, route)
     module = importlib.import_module("esdlab.concurrence")  # esdlab.concurrence is a function
-    name = "_x_margins" if route == "x" else "_evolved_margins"
+    name = "_x_margins" if route == "x" else "_transfer_blocks"
     real, calls = getattr(module, name), []
 
     def counted(*args):
@@ -520,6 +541,68 @@ def test_esd_time_evaluates_t_0_then_t_max_then_midpoints(monkeypatch, rng, rout
         rest = calls[2:]
         assert not rest if t is None else 0 < len(rest) <= _bisection_calls(t_max)
         assert all(len(c) == 1 and 0.0 < c[0] < t_max for c in rest)
+
+
+def _outcome(call, *args):
+    """repr of the result, or the exception's type and message."""
+    try:
+        return repr(call(*args))
+    except Exception as exc:  # the outcome under comparison
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_general_esd_time_matches_the_per_call_checked_route(rng):
+    # rank 1-4 states mixed with the identity, some of them separable, under
+    # random noise subsets with rates 0, 1e-300 and 1e300 mixed in; deaths
+    # inside and past each horizon.  A 1e-300 rate puts the default
+    # horizon at 2e301, whose ~1,000-step bisection takes 0.1-0.3 s a call
+    # (ROADMAP item 12), so such a state runs at the finite horizons only.
+    outcomes = set()
+    for _ in range(20):
+        rank = int(rng.integers(1, 5))
+        g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+        p = rng.uniform(0.3, 1.0)
+        state = validate_density(p * g @ g.conj().T / np.trace(g @ g.conj().T).real
+                                 + (1 - p) * np.eye(4) / 4)
+        specs = tuple(NoiseSpec(q, kind, float(rng.choice([0.0, 1e-300, 1e300, rng.uniform(0.2, 2)],
+                                                            p=[0.1, 0.05, 0.1, 0.75])))
+                      for kind in KINDS for q in "AB" if rng.random() < 0.6)
+        tiny = any(s.rate == 1e-300 for s in specs)
+        for t_max in (0.3, 3.0, 40.0) if tiny else (None, 0.3, 3.0, 40.0):
+            got = _outcome(esd_time, state, specs, t_max)
+            assert got == _outcome(_per_call_esd, state, specs, _horizon(specs, t_max)), (
+                state.mat, specs, t_max)
+            outcomes.add(got.split(":")[0] if "Error" in got else got == "None")
+    assert outcomes == {"SeparableStateError", True, False}
+
+
+@pytest.mark.parametrize("where, rows, error, spectrum_fails", [
+    ("t_0", [1.5, 1.5, 1.5, 1.5], "TraceError", False),
+    ("t_max", [1.0, 2.0, 1.0, 1.0], "HermiticityError", False),
+    ("t_max", [1.0, 1.0, 1.0, -1.0], "TraceError", True),
+    ("midpoint", [1.0, 3.0, 3.0, 1.0], "PositivityError", True),
+])
+def test_esd_time_checks_every_evolved_state(monkeypatch, rng, where, rows, error, spectrum_fails):
+    """A state corrupted at t = 0, at t_max or at the first midpoint, by
+    scaling the rows of qubit A's map [++, +-, -+, --] there, raises the ValidationError of
+    the per-call-checked route, type and message, also where its spectrum
+    alone raises NumericalFailureError."""
+    state, specs, t_star = _dying_state(rng, "general")
+    t_max = 2.0 * t_star
+    at = {"t_0": 0.0, "t_max": t_max, "midpoint": 0.5 * t_max}[where]
+    module = importlib.import_module("esdlab.channels")
+    real = module._transfer_stack
+
+    def corrupted(rates, times, target):
+        maps = real(rates, times, target)
+        return maps * np.array(rows)[:, None] if target == "A" and times.tolist() == [at] else maps
+
+    monkeypatch.setattr(module, "_transfer_stack", corrupted)
+    want = _outcome(_per_call_esd, state, specs, t_max)
+    assert want.startswith(error + ":")
+    assert _outcome(esd_time, state, specs, t_max) == want
+    bad = _transfer_blocks(_regroup(state.mat), fold_rates(specs), np.array([at]))
+    assert _outcome(concurrence_margins, bad).startswith("NumericalFailureError") == spectrum_fails
 
 
 def test_esd_time_resolves_a_short_default_horizon():
