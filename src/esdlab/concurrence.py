@@ -10,6 +10,7 @@ merely became tiny.
 
 from __future__ import annotations
 
+import collections.abc
 import functools
 import math
 from dataclasses import dataclass
@@ -432,12 +433,43 @@ class DiagramCell(NamedTuple):
     t_star: Optional[float] = None
 
 
+class DiagramGrid(collections.abc.Sequence):
+    """The cells of a diagram lattice as four columns: a, z and t* as float
+    lists (None for no death), the kinds as DecayKind members.  A read-only
+    sequence of DiagramCell, each built as it is read, that equals a list of
+    the same cells and has that list's ``repr``."""
+
+    __slots__ = ("_a", "_z", "_kinds", "_t_stars")
+
+    def __init__(self, a: list, z: list, kinds: list, t_stars: list):
+        self._a, self._z, self._kinds, self._t_stars = a, z, kinds, t_stars
+
+    def __len__(self) -> int:
+        return len(self._a)
+
+    def __iter__(self):
+        return map(DiagramCell, self._a, self._z, self._kinds, self._t_stars)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(self)[i]
+        return DiagramCell(self._a[i], self._z[i], self._kinds[i], self._t_stars[i])
+
+    def __eq__(self, other):
+        if isinstance(other, (list, DiagramGrid)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:  # list(self)'s repr, each cell freed once written
+        return "[" + ", ".join(map(repr, self)) + "]"
+
+
 def diagram_grid(
     a_values: Sequence[float],
     z_values: Sequence[float],
     specs: Iterable[NoiseSpec],
     t_max: Optional[float] = None,
-) -> list[DiagramCell]:
+) -> DiagramGrid:
     """Classify the (a, |z|) lattice of d = 0 states with b = c = (1 - a)/2.
 
     Each axis must be 1d (ValueError naming it otherwise), checked after the
@@ -450,6 +482,11 @@ def diagram_grid(
     costs one evaluation, at t_max, and the dying cells bisect in lockstep.
     Each gets the bits ``esd_time`` gives it at the same horizon, checked on
     entry as there.  Rows are a-major, z-minor.
+
+    Returns a DiagramGrid: the cells by column, a DiagramCell built only as
+    it is read.  A list of cells would hand the garbage collector one
+    tracked tuple per cell (a NamedTuple is never untracked), and each full
+    collection walks every cell a caller still holds.
     """
     specs = tuple(specs)
     t_max = _horizon(specs, t_max)  # even when no cell is live
@@ -472,4 +509,4 @@ def diagram_grid(
         ends = (DecayKind.SUDDEN_DEATH, DecayKind.EXPONENTIAL)
         for i, t_star in zip(live.tolist(), first_root(margin, len(live), t_max)):
             kinds[i], t_stars[i] = ends[t_star is None], t_star
-    return list(map(DiagramCell._make, zip(a.tolist(), z.tolist(), kinds, t_stars)))
+    return DiagramGrid(a.tolist(), z.tolist(), kinds, t_stars)

@@ -40,6 +40,7 @@ from esdlab.channels import check_times, evolve_states, noise_channel, transfer_
 from esdlab.cli import main
 from esdlab.checks import additivity_series, equivalence_state
 from esdlab.closedform import d0_death_time, d0_dies
+from esdlab.concurrence import DiagramGrid
 
 # two specs whose rates are finite but whose sum overflows to inf
 OVERFLOWING = (NoiseSpec("A", "amplitude", 1e308), NoiseSpec("A", "amplitude", 1e308))
@@ -391,7 +392,7 @@ def _numbers(out):
         return []
     if dataclasses.is_dataclass(out):
         return _numbers([getattr(out, f.name) for f in dataclasses.fields(out)])
-    if isinstance(out, (list, tuple)):
+    if isinstance(out, (list, tuple, DiagramGrid)):
         return [x for item in out for x in _numbers(item)]
     if isinstance(out, dict):
         return _numbers(list(out.values()))

@@ -15,6 +15,7 @@ bracket sampled deaths.
 """
 
 import functools
+import gc
 import importlib
 import math
 import tracemalloc
@@ -38,6 +39,7 @@ from esdlab.checks import WITNESS_TOL
 from esdlab.closedform import d0_death_time, d0_dies
 from esdlab.concurrence import (
     ESD_RESOLUTION,
+    DiagramGrid,
     _evolved_margins,
     _horizon,
     _x_entries,
@@ -222,8 +224,8 @@ def test_diagram_grid_marks_non_finite_entries_invalid():
 
 def test_diagram_grid_tracemalloc_peak_stays_small():
     # an unblocked (cells x 513) scan of this lattice would peak near 27 MB;
-    # one margin per live cell and time keeps the peak at 1.08 MB, most of
-    # it the 4,096 cells returned
+    # one margin per live cell and time keeps the peak at 0.65 MB, 0.37 MB
+    # of it the four columns of the 4,096 cells returned
     specs = tuple(NoiseSpec(q, kind, 1.0) for kind in KINDS for q in "AB")
     a_values, z_values = np.linspace(0.0, 1.0, 64), np.linspace(0.0, 0.5, 64)
     tracemalloc.start()
@@ -257,6 +259,50 @@ def test_diagram_cell_is_a_named_tuple_with_pinned_reprs():
     assert twin == dying and hash(twin) == hash(dying) and twin != surviving
     with pytest.raises(AttributeError):
         dying.t_star = 1.0
+
+
+def test_diagram_grid_is_a_read_only_sequence_of_cells():
+    specs = UNIT["iii"]
+    grid = diagram_grid([0.2, 2.0], [0.3], specs)
+    dying = DiagramCell(0.2, 0.3, DecayKind.SUDDEN_DEATH, 0.3228259536263067)
+    invalid = DiagramCell(2.0, 0.3, DecayKind.INVALID)
+    assert isinstance(grid, DiagramGrid) and len(grid) == 2
+    assert list(grid) == [dying, invalid]
+    assert grid[0] == grid[-2] == dying and grid[1] == grid[-1] == invalid
+    assert grid[1:] == [invalid]
+    for i in (2, -3):
+        with pytest.raises(IndexError):
+            grid[i]
+    with pytest.raises(TypeError):
+        grid[0] = invalid
+    with pytest.raises(TypeError):
+        hash(grid)
+    assert grid == list(grid) and list(grid) == grid and grid != [dying]
+    assert grid == diagram_grid([0.2, 2.0], [0.3], specs) and grid != (dying, invalid)
+    assert diagram_grid([], [0.1], specs) == [] and not diagram_grid([], [0.1], specs)
+    # bench/workloads.py digests repr(diagram_grid(...)): the list's bytes
+    assert repr(grid) == repr(list(grid)) == (
+        "[DiagramCell(a=0.2, z=0.3, kind=<DecayKind.SUDDEN_DEATH: 'SUDDEN_DEATH'>, "
+        "t_star=0.3228259536263067), DiagramCell(a=2.0, z=0.3, kind=<DecayKind.INVALID: "
+        "'INVALID'>, t_star=None)]")
+    order = diagram_grid([0.2, 0.1], [0.3, 0.0], specs)  # a-major, z-minor
+    assert [(c.a, c.z) for c in order] == [(0.2, 0.3), (0.2, 0.0), (0.1, 0.3), (0.1, 0.0)]
+
+
+def test_a_held_lattice_adds_no_tracked_object_per_cell():
+    # the collector walks every tracked object a caller holds on each full
+    # collection; a list of 4,096 cells would add 4,096 of them
+    axes = np.linspace(0.0, 1.0, 64), np.linspace(0.0, 0.5, 64)
+    diagram_grid(*axes, UNIT["iii"])  # any first-call caches
+    gc.collect()
+    before = len(gc.get_objects())
+    grid = diagram_grid(*axes, UNIT["iii"])
+    gc.collect()
+    added = len(gc.get_objects()) - before
+    assert len(grid) == 64 * 64 and added < 64, added
+    kinds = set(DecayKind)  # module-level members, not per cell
+    assert not any(gc.is_tracked(x) for column in gc.get_referents(grid)
+                   if isinstance(column, list) for x in column if x not in kinds)
 
 
 @pytest.mark.parametrize("a_values, z_values, name", [
