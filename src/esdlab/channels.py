@@ -23,8 +23,9 @@ element-wise for the same noise set.
 Everything is in the rotating frame of the qubits: there is no Hamiltonian
 term, only dissipators.
 
-Two-qubit states evolve by one of two routes.  ``evolve_states`` builds and
-applies the Kraus sets of a whole time grid: it is the oracle that
+Two-qubit states evolve by one of two routes.  ``evolve_states`` builds the
+Kraus sets of a whole time grid once and applies them to one state, or to
+each of a tuple of states, in two matrix products: it is the oracle that
 ``esdlab.checks`` and the tests hold the other routes to.
 ``transfer_states`` applies the same channels as a tensor product of
 per-qubit transfer maps, with no Kraus set built, and evolves general
@@ -181,21 +182,33 @@ def _compose_stack(first: np.ndarray, then: np.ndarray) -> np.ndarray:
 
 
 def _completeness_defect(ops: np.ndarray) -> float:
-    """Max-norm of sum(K^dag K) - 1, worst over an (n_t, n_ops, d, d) Kraus stack."""
-    gram = ops.conj().swapaxes(-1, -2) @ ops
-    gram = sum(gram.swapaxes(0, 1), np.zeros_like(gram[:, 0]))  # in op order
+    """Max-norm of sum(K^dag K) - 1, worst over an (n_t, n_ops, d, d) Kraus stack:
+    per time, one product of the ops stacked as an (n_ops d, d) matrix A: A^dag A."""
+    stacked = ops.reshape(len(ops), -1, ops.shape[-1])
+    gram = stacked.conj().swapaxes(1, 2) @ stacked
     return float(np.abs(gram - np.eye(ops.shape[-1])).max())
 
 
 def _kraus_sum(ops: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """sum K rho K^dag at each time of a complete (n_t, n_ops, d, d) Kraus stack."""
+    """sum K rho K^dag at each time of a complete (n_t, n_ops, d, d) Kraus stack:
+    (n_t, d, d) for one rho (d, d), (n, n_t, d, d) for a stack rho (n, d, d).
+
+    Two products: K rho of every op and time as one (n_t n_ops d, d) @ (d, d)
+    product per state, then (K rho) K^dag of every state as one (n d, d) @ (d, d)
+    product per op and time; the terms are added in op order.  numpy's BLAS
+    computes each entry with the operations of a lone 4x4 product, so the
+    bits are those of one op applied to one state at a time (tests/test_stacked.py)."""
     defect = _completeness_defect(ops)
     if defect > COMPLETENESS_TOL:
         raise ValueError(
             f"channel completeness defect {defect:.3e} exceeds {COMPLETENESS_TOL:.0e}"
         )
-    terms = ops @ rho @ ops.conj().swapaxes(-1, -2)
-    return sum(terms.swapaxes(0, 1), np.zeros_like(terms[:, 0]))  # in op order
+    (n_t, n_ops, d, _), rhos = ops.shape, rho.reshape(-1, *rho.shape[-2:])
+    left = (ops.reshape(-1, d) @ rhos).reshape(len(rhos), n_t * n_ops, d, d).swapaxes(0, 1)
+    right = ops.reshape(-1, d, d).conj().swapaxes(1, 2)
+    terms = (left.reshape(n_t * n_ops, -1, d) @ right).reshape(n_t, n_ops, len(rhos), d, d)
+    out = sum(terms.swapaxes(0, 1), np.zeros_like(terms[:, 0]))  # in op order
+    return out.swapaxes(0, 1).reshape(*rho.shape[:-2], n_t, d, d)
 
 
 def apply_channel(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
@@ -231,27 +244,31 @@ def noise_channel(specs: Iterable[NoiseSpec], t: float) -> KrausChannel:
 
 
 def _checked_grid(
-    rho0: DensityMatrix, specs: Iterable[NoiseSpec], times: Sequence[float]
+    rho0: DensityMatrix | tuple, specs: Iterable[NoiseSpec], times: Sequence[float]
 ) -> tuple:
-    """The checked time grid and folded rates, for evolving a two-qubit rho0."""
-    if rho0.dim != 4:
-        raise ValueError(f"dimension mismatch: channel 4, state {rho0.dim}")
+    """The checked time grid and folded rates, for evolving a two-qubit rho0 or a tuple."""
+    for rho in rho0 if isinstance(rho0, tuple) else (rho0,):
+        if rho.dim != 4:
+            raise ValueError(f"dimension mismatch: channel 4, state {rho.dim}")
     return check_times(times), fold_rates(specs)
 
 
 def evolve_states(
-    rho0: DensityMatrix, specs: Iterable[NoiseSpec], times: Sequence[float]
+    rho0: DensityMatrix | tuple, specs: Iterable[NoiseSpec], times: Sequence[float]
 ) -> np.ndarray:
-    """States of a two-qubit rho0 under a noise set at each grid time, (n_t, 4, 4).
+    """States of a two-qubit rho0 under a noise set at each grid time, (n_t, 4, 4),
+    or of each of a tuple of n of them, (n, n_t, 4, 4).
 
     The Kraus oracle: the folded Kraus sets of the whole grid from the one
-    stacked builder, applied by stacked matmuls in one pass.  Equal, bit for
-    bit, to applying each time's set alone, one 4x4 product at a time.
+    stacked builder, built once for every state and applied by ``_kraus_sum``
+    in two products.  Equal, bit for bit, to applying each time's set to each
+    state alone, one 4x4 product at a time.
     """
     times, rates = _checked_grid(rho0, specs, times)
+    mats = np.reshape([r.mat for r in rho0], (-1, 4, 4)) if isinstance(rho0, tuple) else rho0.mat
     if not len(times):  # the stacked checks take a max over at least one time
-        return np.empty((0, 4, 4), dtype=np.complex128)
-    return check_densities(_kraus_sum(_noise_stack(rates, times.tolist()), rho0.mat))
+        return np.empty((*mats.shape[:-2], 0, 4, 4), dtype=np.complex128)
+    return check_densities(_kraus_sum(_noise_stack(rates, times.tolist()), mats))
 
 
 def _transfer_stack(rates: dict, times: np.ndarray, target: str) -> np.ndarray:

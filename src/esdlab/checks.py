@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -122,83 +121,65 @@ def _symmetric(kind: str, rate: float) -> tuple[NoiseSpec, NoiseSpec]:
     return (NoiseSpec("A", kind, rate), NoiseSpec("B", kind, rate))
 
 
-def _worst_vs_law(cases) -> float:
-    """Worst |concurrence - law(t)| over (lam, specs, times, law) cases, the states
-    evolved by the Kraus oracle and read through the general formula."""
-    worst = 0.0
-    for lam, specs, times, law in cases:
-        m = concurrence_margins(evolve_states(lambda_state(lam).to_density(), specs, times))
-        for t, c in zip(times, np.where(m > 0.0, m, 0.0)):
-            worst = max(worst, abs(c - law(t)))
-    return worst
+def _worst_vs_law(specs, times, law, lams) -> float:
+    """Worst |concurrence - law(lam, t)| over the states lambda_state(lam) of lams
+    under one noise set, evolved by the Kraus oracle in one call and read
+    through the general formula."""
+    states = evolve_states(tuple(lambda_state(lam).to_density() for lam in lams), specs, times)
+    m = concurrence_margins(states)
+    return max(abs(c - law(lam, t)) for lam, row in zip(lams, np.where(m > 0.0, m, 0.0))
+               for t, c in zip(times, row))
 
 
 def _check_phase_law() -> CheckResult:
     times = np.linspace(0.0, 5.0, N_TIMES)
-    cases = ((lam, _symmetric("phase", rate), times, partial(phase_concurrence, lam, rate))
-             for lam in LAMBDAS for rate in RATES)
-    return _result("phase_noise_concurrence", _worst_vs_law(cases), KRAUS_LAW_TOL)
+    worst = max(_worst_vs_law(_symmetric("phase", rate), times,
+                              lambda lam, t: phase_concurrence(lam, rate, t), LAMBDAS)
+                for rate in RATES)
+    return _result("phase_noise_concurrence", worst, KRAUS_LAW_TOL)
 
 
 def _check_amplitude_elements() -> CheckResult:
-    worst = 0.0
     times = np.linspace(0.0, 5.0, N_TIMES)
-    for lam in LAMBDAS:
-        rho0 = lambda_state(lam).to_density()
-        for rate in RATES:
-            specs = _symmetric("amplitude", rate)
-            for t, m in zip(times, evolve_states(rho0, specs, times)):
-                z, a, d = amplitude_elements(lam, rate, t)
-                worst = max(
-                    worst,
-                    abs(m[1, 2].real - z),
-                    abs(m[0, 0].real - a),
-                    abs(m[3, 3].real - d),
-                )
+    rhos = tuple(lambda_state(lam).to_density() for lam in LAMBDAS)
+    worst = max(  # z, a and d of each evolved state against the law's
+        np.abs(m[(1, 0, 3), (2, 0, 3)].real - amplitude_elements(lam, rate, t)).max()
+        for rate in RATES
+        for lam, states in zip(LAMBDAS, evolve_states(rhos, _symmetric("amplitude", rate), times))
+        for t, m in zip(times, states)
+    )
     return _result("amplitude_noise_elements", worst, ROUNDOFF_TOL)
 
 
 def _check_amplitude_law() -> list[CheckResult]:
-    cases = [(lam, _symmetric("amplitude", rate), np.linspace(0.0, 5.0 / rate, N_TIMES),
-              partial(amplitude_concurrence, lam, rate))
-             for lam in (3.0, 3.5, 4.0) for rate in RATES]
+    lams = (3.0, 3.5, 4.0)
+    worst = max(_worst_vs_law(_symmetric("amplitude", rate), np.linspace(0.0, 5.0 / rate, N_TIMES),
+                              lambda lam, t: amplitude_concurrence(lam, rate, t), lams)
+                for rate in RATES)
     # on the default horizon 20 / rate
-    survived = all(classify(lambda_state(lam), specs).t_star is None
-                   for lam, specs, _, _ in cases)
+    survived = all(classify(lambda_state(lam), _symmetric("amplitude", rate)).t_star is None
+                   for lam in lams for rate in RATES)
     return [
-        _result("amplitude_noise_concurrence", _worst_vs_law(cases), KRAUS_LAW_TOL),
+        _result("amplitude_noise_concurrence", worst, KRAUS_LAW_TOL),
         CheckResult("amplitude_noise_no_death", survived, 0.0 if survived else 1.0, 0.0),
     ]
 
 
 def _check_combined_law() -> CheckResult:
     times = np.linspace(0.0, 5.0, N_TIMES)
-    cases = ((lam, _symmetric("amplitude", g1) + _symmetric("phase", g2), times,
-              partial(combined_concurrence, lam, g1, g2))
-             for lam in LAMBDAS for g1 in RATES for g2 in RATES)
-    return _result("combined_noise_concurrence", _worst_vs_law(cases), KRAUS_LAW_TOL)
+    worst = max(_worst_vs_law(_symmetric("amplitude", g1) + _symmetric("phase", g2), times,
+                              lambda lam, t: combined_concurrence(lam, g1, g2, t), LAMBDAS)
+                for g1 in RATES for g2 in RATES)
+    return _result("combined_noise_concurrence", worst, KRAUS_LAW_TOL)
 
 
 def _check_reductions() -> CheckResult:
-    worst = 0.0
-    for lam in LAMBDAS:
-        for rate in RATES:
-            for t in np.linspace(0.0, 6.0, N_TIMES):
-                worst = max(
-                    worst,
-                    abs(
-                        combined_concurrence(lam, 0.0, rate, t)
-                        - phase_concurrence(lam, rate, t)
-                    ),
-                )
-                if lam >= 3.0:
-                    worst = max(
-                        worst,
-                        abs(
-                            combined_concurrence(lam, rate, 0.0, t)
-                            - amplitude_concurrence(lam, rate, t)
-                        ),
-                    )
+    worst = max(  # each law with one rate zero against the one-kind law
+        max(abs(combined_concurrence(lam, 0.0, rate, t) - phase_concurrence(lam, rate, t)),
+            abs(combined_concurrence(lam, rate, 0.0, t) - amplitude_concurrence(lam, rate, t))
+            if lam >= 3.0 else 0.0)
+        for lam in LAMBDAS for rate in RATES for t in np.linspace(0.0, 6.0, N_TIMES)
+    )
     return _result("closed_form_reductions", worst, ROUNDOFF_TOL)
 
 

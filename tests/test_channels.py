@@ -155,6 +155,18 @@ def test_apply_channel_guards():
         apply_channel(broken, PLUS_X)
 
 
+
+def test_kraus_sum_refuses_an_incomplete_stack(rng):
+    """The Kraus oracle's completeness guard, for one rho and for a stack of them:
+    sum K^dag K of diag(0.9, 1) is 1 - 0.19 on |+><+|."""
+    broken = np.diag([0.9, 1.0])[None, None]
+    one = random_density(rng, 2).mat
+    for rho in (one, np.array([one, PLUS_X.mat, np.eye(2) / 2])):
+        with pytest.raises(ValueError, match=r"^channel completeness defect 1\.900e-01 "
+                                             r"exceeds 1e-10$"):
+            _kraus_sum(broken, rho)
+    assert _kraus_sum(np.eye(2)[None, None], np.array([one, PLUS_X.mat])).shape == (2, 1, 2, 2)
+
 def test_kraus_channel_refuses_a_bad_dimension_or_no_ops():
     with pytest.raises(ValueError, match="dim must be 2 or 4, got 3"):
         KrausChannel(3, (np.eye(3),))

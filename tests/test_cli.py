@@ -410,6 +410,7 @@ def test_validate_passes(capsys):
     names = {c["name"] for c in report["checks"]}
     assert "kraus_vs_lindblad" in names
     assert all(c["pass"] for c in report["checks"])
+    assert out.encode() == gzip.decompress((GOLDEN / "validate.out.gz").read_bytes())
 
 
 def test_validate_failure_exit_code(capsys, monkeypatch):
@@ -448,8 +449,9 @@ def test_console_entry_point():
 ])
 def test_golden_cases_are_byte_identical(case, capsys):
     """The stored golden CLI outputs, reproduced in process byte for byte.
-    ``additivity`` and ``validate``, which spend about 0.3 s in the RK4
-    integrator, are left to bench/golden.py."""
+    ``validate`` is held to its golden output by ``test_validate_passes``;
+    ``additivity``, which spends most of its time in the RK4 integrator, is
+    left to bench/golden.py."""
     manifest = json.loads((GOLDEN / "manifest.json").read_text())[case]
     code, out, _ = run_cli(manifest["argv"], capsys)
     assert code == manifest["exit_code"]

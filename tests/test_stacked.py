@@ -93,13 +93,23 @@ def _initial_states(rng):
 
 @pytest.mark.parametrize("name", sorted(NOISE_SETS))
 def test_evolve_states_equals_per_time_loop(rng, name):
+    """Each state equals the per-time loop bit for bit, on the grid and on the
+    empty grid; a tuple of states evolves in one call to an (n, n_t, 4, 4)
+    stack whose slices are the states' own calls, and a one-qubit state in
+    the tuple is refused."""
     specs = NOISE_SETS[name]
-    for rho in _initial_states(rng):
-        for grid in (GRID, GRID[:0]):  # and the empty grid
+    rhos = (random_density(rng, 4), *_initial_states(rng))
+    for grid in (GRID, GRID[:0]):  # and the empty grid
+        stacked = evolve_states(rhos, specs, grid)
+        assert stacked.shape == (3, len(grid), 4, 4)
+        for rho, states in zip(rhos, stacked):
             got = evolve_states(rho, specs, grid)
             assert got.shape == (len(grid), 4, 4)
+            assert np.array_equal(states, got)
             via_loop = np.array([_evolve_loop(rho.mat, specs, t) for t in grid])
             assert np.array_equal(got, via_loop.reshape(-1, 4, 4))
+    with pytest.raises(ValueError, match="^dimension mismatch: channel 4, state 2$"):
+        evolve_states(rhos[:2] + (validate_density(np.eye(2) / 2),), specs, GRID)
 
 
 def _trace_loop(initial, specs, times):
