@@ -22,12 +22,10 @@ from .linalg import (
 from .channels import NoiseSpec, integrate_path, lindblad_rhs
 from .concurrence import (
     ConcurrenceTrace,
-    DecayClass,
     DecayKind,
     DiagramCell,
     SeparableStateError,
     XState,
-    classify,
     concurrence,
     concurrence_x,
     diagram_grid,
@@ -51,7 +49,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CheckResult",
     "ConcurrenceTrace",
-    "DecayClass",
     "DecayKind",
     "DensityMatrix",
     "DiagramCell",
@@ -65,7 +62,6 @@ __all__ = [
     "XState",
     "amplitude_concurrence",
     "amplitude_elements",
-    "classify",
     "coherence_factor",
     "combined_concurrence",
     "combined_death_time",

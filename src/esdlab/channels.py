@@ -247,6 +247,8 @@ def _checked_grid(
     rho0: DensityMatrix | tuple, specs: Iterable[NoiseSpec], times: Sequence[float]
 ) -> tuple:
     """The checked time grid and folded rates, for evolving a two-qubit rho0 or a tuple."""
+    if isinstance(rho0, tuple) and not rho0:
+        raise ValueError("no states to evolve: the tuple of states is empty")
     for rho in rho0 if isinstance(rho0, tuple) else (rho0,):
         if rho.dim != 4:
             raise ValueError(f"dimension mismatch: channel 4, state {rho.dim}")

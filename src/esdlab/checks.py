@@ -30,7 +30,7 @@ from .closedform import (
     combined_death_time,
     phase_concurrence,
 )
-from .concurrence import classify, concurrence_margins, lambda_state
+from .concurrence import concurrence_margins, esd_time, lambda_state
 from .linalg import check_densities, validate_density
 
 LAMBDAS = (1.0, 2.0, 3.0, 3.5, 4.0)
@@ -156,8 +156,8 @@ def _check_amplitude_law() -> list[CheckResult]:
     worst = max(_worst_vs_law(_symmetric("amplitude", rate), np.linspace(0.0, 5.0 / rate, N_TIMES),
                               lambda lam, t: amplitude_concurrence(lam, rate, t), lams)
                 for rate in RATES)
-    # on the default horizon 20 / rate
-    survived = all(classify(lambda_state(lam), _symmetric("amplitude", rate)).t_star is None
+    # esd_time on the default horizon 20 / rate
+    survived = all(esd_time(lambda_state(lam), _symmetric("amplitude", rate)) is None
                    for lam in lams for rate in RATES)
     return [
         _result("amplitude_noise_concurrence", worst, KRAUS_LAW_TOL),
@@ -191,12 +191,12 @@ def _check_witness() -> CheckResult:
         phase_only = combined_death_time(lam, 0.0, 1.0)
         if both is None or amp_only is not None or phase_only is not None:
             violations += 1
-        state = lambda_state(lam)  # classified on the default horizon 20 / 1.0
-        if classify(state, _symmetric("amplitude", 1.0)).t_star is not None:
+        state = lambda_state(lam)  # esd_time on the default horizon 20 / 1.0
+        if esd_time(state, _symmetric("amplitude", 1.0)) is not None:
             violations += 1
-        if classify(state, _symmetric("phase", 1.0)).t_star is not None:
+        if esd_time(state, _symmetric("phase", 1.0)) is not None:
             violations += 1
-        t_num = classify(state, _symmetric("amplitude", 1.0) + _symmetric("phase", 1.0)).t_star
+        t_num = esd_time(state, _symmetric("amplitude", 1.0) + _symmetric("phase", 1.0))
         if t_num is None or both is None or abs(t_num - both) > WITNESS_TOL:
             violations += 1
     return CheckResult(

@@ -120,6 +120,8 @@ def _number(value, name: str):
     true and false are not numbers, though Python's bool is an int."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name} must be a number, got {json.dumps(value)}")
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise ConfigError(f"{name} is an integer beyond the float range")
     return value
 
 
@@ -155,7 +157,7 @@ def load_config(args) -> RunConfig:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, bytes that are not UTF-8, an int too long to parse
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     cfg = RunConfig.from_json_dict(data)
     # flags override file values

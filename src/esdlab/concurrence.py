@@ -396,7 +396,7 @@ class DecayKind(Enum):
 
 @dataclass(frozen=True)
 class DecayClass:
-    """Decay classification with the death time when there is one."""
+    """``classify``'s class and t*, kept with it only for the benchmark tracer."""
 
     kind: DecayKind
     t_star: Optional[float] = None
@@ -409,9 +409,9 @@ class DecayClass:
 
 
 def classify(x: XState, specs: Iterable[NoiseSpec]) -> DecayClass:
-    """Decay class of a d = 0 X state: ``esd_time`` on the default horizon
-    20 / min(rate), with SeparableStateError read as SEPARABLE_AT_START and a
-    death past the horizon as EXPONENTIAL (``esd_time`` takes a longer t_max)."""
+    """``esd_time`` of a d = 0 X state on the default horizon 20 / min(rate) as a
+    class: a separable start is SEPARABLE_AT_START, None is EXPONENTIAL.  Kept only
+    while the benchmark tracer binds ``concurrence.classify``; ``esd_time`` is the route."""
     if x.d != 0.0:
         raise ValueError("classification is defined on the d = 0 slice")
     try:

@@ -10,7 +10,7 @@ from esdlab.checks import (
     _check_witness,
     additivity_series,
 )
-from esdlab.concurrence import DecayClass, DecayKind, first_root
+from esdlab.concurrence import first_root
 
 # rates on which RK4 trace drift reached 1.00-1.06e-12 at some grid time,
 # past the strict 1e-12 trace bound that integrated states were once held to
@@ -42,7 +42,7 @@ def test_additivity_series_verdict_follows_its_deviations():
 
 def test_witness_does_not_share_the_numerical_root_finder(monkeypatch):
     # every esdlab namespace that binds first_root gets a wrapper that moves
-    # each root by 1e-6: classify's t* moves, the closed form's must not
+    # each root by 1e-6: esd_time's t* moves, the closed form's must not
     def shifted(*args):
         return [None if t is None else t + 1e-6 for t in first_root(*args)]
 
@@ -68,15 +68,13 @@ def test_witness_counts_each_violation(branch, monkeypatch):
 
         monkeypatch.setattr(checks, "combined_death_time", patched)
     else:  # the numerical route reports a death under one noise alone
-        real = checks.classify
+        real = checks.esd_time
         kind = branch.split("_")[0]
 
         def patched(state, specs):
-            if {s.kind for s in specs} == {kind}:
-                return DecayClass(DecayKind.SUDDEN_DEATH, 1.0)
-            return real(state, specs)
+            return 1.0 if {s.kind for s in specs} == {kind} else real(state, specs)
 
-        monkeypatch.setattr(checks, "classify", patched)
+        monkeypatch.setattr(checks, "esd_time", patched)
     result = _check_witness()
     assert result.passed is False
     # a closed form that finds no death also fails the t* comparison

@@ -116,7 +116,7 @@ def test_esd_without_t_max_scans_to_the_default_horizon(capsys):
     assert (code, err) == (0, "")
     report = json.loads(out)
     specs = [NoiseSpec(q, kind, 0.1) for q in "AB" for kind in ("amplitude", "phase")]
-    want = esdlab.classify(esdlab.lambda_state(4.0), specs).t_star
+    want = esdlab.esd_time(esdlab.lambda_state(4.0), specs)
     assert report == {"class": "SUDDEN_DEATH", "t_max": 200.0, "t_star": want}
     code, out, _ = run_cli(["esd", "--lambda", "4", "--t-max", "5"] + noise, capsys)
     assert json.loads(out) == {"class": "EXPONENTIAL", "t_max": 5.0}
@@ -300,13 +300,20 @@ STATE_BLOCK = {"a": 0.1, "b": 0.4, "c": 0.4, "d": 0.1, "z_re": 0.3, "z_im": 0.0}
     ({"state": dict(STATE_BLOCK, a=0.9)}, "bad state block: populations must sum to 1"),
     ({"lambda": 4.0, "noises": [{"target": "A", "kind": "phase"}]}, "bad noise entry"),
     ({"lambda": 4.0, "noises": [dict(NOISE_ROW, kind="spin")]}, "bad noise entry"),
+    ({"lambda": 4.0, "t_max": 10**400}, "t_max is an integer beyond the float range"),
+    ({"lambda": -10**400}, "lambda is an integer beyond the float range"),
+    ({"lambda": 4.0, "noises": [dict(NOISE_ROW, rate=10**400)]},
+     "noise rate is an integer beyond the float range"),
+    ({"state": dict(STATE_BLOCK, z_re=10**400)}, "state z_re is an integer beyond the float range"),
 ], ids=["not_object", "noises_number", "noises_null", "noises_true", "noises_string",
         "noises_object", "lambda_true", "t_max_true", "samples_false", "rate_true",
         "state_true", "state_false", "state_missing_key", "state_invalid",
-        "noise_missing_rate", "noise_bad_kind"])
+        "noise_missing_rate", "noise_bad_kind", "t_max_huge_int", "lambda_huge_int",
+        "rate_huge_int", "state_huge_int"])
 def test_config_value_types_exit_2(data, message, tmp_path, capsys):
     # a number, null or true for "noises" was a TypeError traceback (exit 1),
-    # a string or object was iterated, and a JSON boolean passed as 1 or 0
+    # a string or object was iterated, a JSON boolean passed as 1 or 0, and an
+    # integer beyond the float range was an OverflowError traceback (exit 1)
     path = tmp_path / "run.json"
     path.write_text(json.dumps(data), encoding="utf-8")
     for command in (["trace", "--samples", "2"], ["esd", "--t-max", "1"]):
@@ -322,6 +329,14 @@ def test_config_file_that_is_not_json_exits_2(tmp_path, capsys):
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error: config file is not valid JSON")
+    # bytes that are not UTF-8, and an integer longer than int() parses,
+    # were a UnicodeDecodeError and a ValueError traceback (exit 1)
+    for raw in (b'{"lambda": 4, "t_max": 2\xff}', b'{"lambda": 4, "t_max": 1%s}' % (b"0" * 4400)):
+        path.write_bytes(raw)
+        for command in (["trace", "--samples", "2"], ["esd"]):
+            code, out, err = run_cli(command + ["--config", str(path)], capsys)
+            assert code == 2 and out == ""
+            assert len(err.splitlines()) == 1 and err.startswith("error: config file")
 
 
 @pytest.mark.parametrize("noise", ["A:phase", "A:phase:1:2", "A"])

@@ -5,13 +5,11 @@ import pytest
 
 from esdlab import (
     ConcurrenceTrace,
-    DecayClass,
     DecayKind,
     NoiseSpec,
     SeparableStateError,
     XState,
     amplitude_concurrence,
-    classify,
     combined_concurrence,
     concurrence,
     concurrence_x,
@@ -24,6 +22,7 @@ from esdlab import (
     validate_density,
 )
 from esdlab.channels import evolve_states
+from esdlab.concurrence import DecayClass, classify  # shims: contract tests only
 
 from helpers import partial_trace, random_density, random_unitary, random_x_state
 
@@ -236,9 +235,8 @@ def test_esd_time_terminates_when_float_spacing_exceeds_resolution():
     rate = 1e-300
     state = lambda_state(4.0)
     both = symmetric("amplitude", rate) + symmetric("phase", rate)
-    assert abs(classify(state, both).t_star * rate - T_STAR_COMBINED_4) < 1e-9
-    amp_only = classify(state, symmetric("amplitude", rate))
-    assert amp_only.kind is DecayKind.EXPONENTIAL
+    assert abs(esd_time(state, both) * rate - T_STAR_COMBINED_4) < 1e-9
+    assert esd_time(state, symmetric("amplitude", rate)) is None
 
 
 def test_default_horizon_rejects_rates_whose_horizon_overflows():
@@ -247,8 +245,8 @@ def test_default_horizon_rejects_rates_whose_horizon_overflows():
     state = lambda_state(4.0)
     for rate in (5e-324, 1e-308):
         with pytest.raises(ValueError, match=f"rate {rate!r} is too small"):
-            classify(state, symmetric("phase", rate))
-    assert classify(state, symmetric("phase", 1.2e-307)).kind is DecayKind.EXPONENTIAL
+            esd_time(state, symmetric("phase", rate))
+    assert esd_time(state, symmetric("phase", 1.2e-307)) is None
     with pytest.raises(ValueError, match="rate 5e-324 is too small"):
         diagram_grid([0.2], [0.3], symmetric("phase", 5e-324))
     assert diagram_grid([0.2], [0.3], symmetric("phase", 5e-324), 1.0)[0].t_star is None
@@ -301,7 +299,7 @@ def test_classify_examples():
         classify(XState(0.25, 0.25, 0.25, 0.25, 0.0), amp)
 
 
-def test_classify_amplitude_boundary_matches_sign_test(rng):
+def test_esd_time_amplitude_boundary_matches_sign_test(rng):
     amp = symmetric("amplitude", 1.0)
     for _ in range(60):
         a = rng.uniform(0.0, 0.9)
@@ -309,24 +307,21 @@ def test_classify_amplitude_boundary_matches_sign_test(rng):
         z = rng.uniform(0.01, half)
         if abs(a - z * z) < 1e-3:
             continue
-        got = classify(XState(a, half, half, 0.0, z), amp).kind
-        want = DecayKind.SUDDEN_DEATH if a > z * z else DecayKind.EXPONENTIAL
-        assert got is want, (a, z)
+        dies = esd_time(XState(a, half, half, 0.0, z), amp) is not None
+        assert dies == (a > z * z), (a, z)
 
 
-def test_classify_combined_corner_a_zero_is_exponential():
+def test_esd_time_combined_corner_a_zero_is_exponential():
     # with a = d = 0 the root sqrt(a(t) d(t)) vanishes identically and
     # C = 2|z(t)| never reaches zero
     state = XState(0.0, 0.5, 0.5, 0.0, 0.3)
     both = symmetric("amplitude", 1.0) + symmetric("phase", 1.0)
-    assert classify(state, both).kind is DecayKind.EXPONENTIAL
+    assert esd_time(state, both) is None
 
 
-def test_classify_asymmetric_placements():
+def test_esd_time_asymmetric_placements():
     on_a = (NoiseSpec("A", "amplitude", 1.0), NoiseSpec("A", "phase", 1.0))
-    result = classify(lambda_state(4.0), on_a)
-    assert result.kind is DecayKind.SUDDEN_DEATH
-    assert abs(result.t_star - T_STAR_A_ONLY_4) < 1e-8
+    assert abs(esd_time(lambda_state(4.0), on_a) - T_STAR_A_ONLY_4) < 1e-8
 
 
 def test_cross_placement_kills_pair_but_marginals_relax():
@@ -405,7 +400,7 @@ def test_amplitude_panel_boundary_cells_stay_exponential():
         for z in np.linspace(0.05, 0.4, 8):
             a = z * z
             state = XState(a, 0.5 * (1 - a), 0.5 * (1 - a), 0.0, z)
-            assert classify(state, amp).kind is DecayKind.EXPONENTIAL, (rate, z)
+            assert esd_time(state, amp) is None, (rate, z)
 
 
 def test_underflow_keeps_the_late_root():
@@ -414,8 +409,8 @@ def test_underflow_keeps_the_late_root():
     a = 1e-6
     half = 0.5 * (1 - a)
     specs = symmetric("amplitude", 1.0) + symmetric("phase", 0.01)
-    result = classify(XState(a, half, half, 0.0, half), specs)
-    assert result.t_star == pytest.approx(100 * math.log(half / math.sqrt(a)), rel=1e-6)
+    t_star = esd_time(XState(a, half, half, 0.0, half), specs)
+    assert t_star == pytest.approx(100 * math.log(half / math.sqrt(a)), rel=1e-6)
 
 
 def test_underflow_of_both_terms_is_no_death():
@@ -427,11 +422,11 @@ def test_underflow_of_both_terms_is_no_death():
 def test_underflow_of_coherence_with_a_zero_is_no_death():
     state = XState(0.0, 0.5, 0.5, 0.0, 0.3)
     specs = symmetric("amplitude", 1.0) + symmetric("phase", 1000.0)
-    assert classify(state, specs).kind is DecayKind.EXPONENTIAL
+    assert esd_time(state, specs) is None
 
 
 def test_underflow_of_coherence_with_d_zero_is_no_death():
     # without amplitude noise d(t) stays 0 and C = 2 |z(t)| > 0 for all t
     state = XState(0.2, 0.4, 0.4, 0.0, 0.3)
     specs = (NoiseSpec("A", "phase", 1000.0), NoiseSpec("B", "phase", 1.0))
-    assert classify(state, specs).kind is DecayKind.EXPONENTIAL
+    assert esd_time(state, specs) is None

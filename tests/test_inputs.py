@@ -23,7 +23,6 @@ from esdlab import (
     XState,
     amplitude_concurrence,
     amplitude_elements,
-    classify,
     coherence_factor,
     combined_concurrence,
     combined_death_time,
@@ -37,6 +36,7 @@ from esdlab import (
     validate_density,
 )
 from esdlab.channels import check_times, evolve_states, noise_channel, transfer_states
+from esdlab.concurrence import classify
 from esdlab.cli import main
 from esdlab.checks import additivity_series, equivalence_state
 from esdlab.closedform import d0_death_time, d0_dies

@@ -96,7 +96,7 @@ def test_evolve_states_equals_per_time_loop(rng, name):
     """Each state equals the per-time loop bit for bit, on the grid and on the
     empty grid; a tuple of states evolves in one call to an (n, n_t, 4, 4)
     stack whose slices are the states' own calls, and a one-qubit state in
-    the tuple is refused."""
+    the tuple or an empty tuple is refused, on either grid."""
     specs = NOISE_SETS[name]
     rhos = (random_density(rng, 4), *_initial_states(rng))
     for grid in (GRID, GRID[:0]):  # and the empty grid
@@ -110,6 +110,9 @@ def test_evolve_states_equals_per_time_loop(rng, name):
             assert np.array_equal(got, via_loop.reshape(-1, 4, 4))
     with pytest.raises(ValueError, match="^dimension mismatch: channel 4, state 2$"):
         evolve_states(rhos[:2] + (validate_density(np.eye(2) / 2),), specs, GRID)
+    for grid in (GRID, GRID[:0]):
+        with pytest.raises(ValueError, match="^no states to evolve: the tuple of states is empty$"):
+            evolve_states((), specs, grid)
 
 
 def _trace_loop(initial, specs, times):
