@@ -38,6 +38,7 @@ stored golden CLI traces are byte-exact.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -71,23 +72,36 @@ _SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 _I2 = np.eye(2, dtype=np.complex128)
 
 
+def _finite(x) -> bool:
+    """math.isfinite of a real or complex number, False for an int beyond the float range."""
+    return abs(x) <= sys.float_info.max
+
+
+def _floats(values, name: str) -> np.ndarray:
+    """``values`` as a float array, or ValueError naming them for an int beyond the float range."""
+    try:
+        return np.asarray(values, dtype=float)
+    except OverflowError:
+        raise ValueError(f"{name} hold an int beyond the float range") from None
+
+
 def check_rates(**rates: float):
     """Raise ValueError, naming the argument, unless each rate is finite and >= 0."""
     for name, rate in rates.items():
-        if not (math.isfinite(rate) and rate >= 0.0):
+        if not (_finite(rate) and rate >= 0.0):
             raise ValueError(f"{name} must be finite and >= 0, got {rate!r}")
 
 
 def check_time(t: float):
     """Raise ValueError unless the elapsed time t is finite and >= 0."""
-    if not (math.isfinite(t) and t >= 0.0):
+    if not (_finite(t) and t >= 0.0):
         raise ValueError(f"time must be finite and >= 0, got {t!r}")
 
 
 def check_times(times) -> np.ndarray:
     """A time grid as a 1d float array, every time checked as by ``check_time``,
     which names the first bad one: the one grid check."""
-    times = np.asarray(times, dtype=float)
+    times = _floats(times, "times")
     if times.ndim != 1:
         raise ValueError(f"need a 1d time grid, got shape {times.shape}")
     bad = ~(np.isfinite(times) & (times >= 0.0))
@@ -380,12 +394,13 @@ def _rk4_runs(
 ) -> np.ndarray:
     """``integrate_path`` of each noise set in ``spec_sets`` as (n_runs, n_t, d, d)
     states: the runs step in lockstep, one stacked matmul per step, and each
-    run's states are bit for bit those of stepping it alone."""
+    run's states are bit for bit those of stepping it alone.  A lone run steps
+    a flat vector by ``ndarray.dot``, the zgemv that the matmul calls per run."""
     times = check_times(times)
     if np.any(np.diff(times) <= 0):
         raise ValueError("times must be ascending")
     times = times.tolist()
-    if not 0 < dt < math.inf:
+    if not (_finite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and > 0, got {dt}")
     for specs in spec_sets:  # the generator adds up the rates of each set
         fold_rates(specs)
@@ -398,7 +413,7 @@ def _rk4_runs(
                          for specs in spec_sets])
     if not np.isfinite(sups).all():
         raise ValueError("noise rates overflow the master-equation generator")
-    vecs = rho0.mat.reshape(1, dim * dim, 1)  # one column, broadcast over the runs
+    vecs = rho0.mat.reshape(dim * dim if runs == 1 else (1, dim * dim, 1))  # flat for one run
     spans = [t - s for s, t in zip([0.0] + times, times)]
     # capped before ceil (no inf from a huge span / dt); a positive span takes >= 1 step
     counts = [max(1, math.ceil(min(span / dt - 1e-12, MAX_RK4_STEPS + 1))) if span else 0
@@ -416,8 +431,13 @@ def _rk4_runs(
     for i, (t, span, n_steps) in enumerate(zip(times, spans, counts)):
         if n_steps:
             step = _rk4_step_matrix(sups, span / n_steps)
-            for _ in range(n_steps):
-                vecs = step @ vecs
+            if runs == 1:
+                dot = step[0].dot
+                for _ in range(n_steps):
+                    vecs = dot(vecs)
+            else:  # a literal @: a bound step.__matmul__ costs about 5 % per step
+                for _ in range(n_steps):
+                    vecs = step @ vecs
         out[:, i] = vecs.reshape(-1, dim, dim)
         try:
             check_densities(out[:, i], tol=INTEGRATOR_TOL)
@@ -441,7 +461,7 @@ def integrate_path(
     than MAX_RK4_STEPS steps, or with h times the generator's spectral
     radius above RK4_STABILITY_LIMIT, raises ValueError.  States are
     revalidated to INTEGRATOR_TOL, and a failure becomes NumericalFailureError.
-    The one-run case of the RK4 core that steps runs on one grid in lockstep.
+    The one-run case of ``_rk4_runs``, stepped by ``ndarray.dot``: the lockstep bits.
     """
     states = _rk4_runs(rho0, [tuple(specs)], times, dt)[0]
     states.setflags(write=False)

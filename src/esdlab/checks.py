@@ -66,17 +66,19 @@ def _result(name, worst, tol) -> CheckResult:
 
 
 def _additivity_runs(pairs, times, dt=DEFAULT_DT) -> list[dict]:
-    """``additivity_series`` of each (gamma1, gamma2) pair, the RK4 runs in lockstep."""
+    """``additivity_series`` of each (gamma1, gamma2) pair, the RK4 runs in lockstep.
+    The RK4 runs go first, so that a grid past their step budget or stability
+    limit is refused before the Kraus route builds a stack per grid time."""
     plus_x = validate_density(np.full((2, 2), 0.5, dtype=np.complex128))
     times = check_times(times).tolist()
+    spec_sets = [(NoiseSpec("A", "amplitude", g1), NoiseSpec("A", "phase", 2 * g2))
+                 for g1, g2 in pairs]
+    paths = _rk4_runs(plus_x, spec_sets, times, dt)[:, :, 0, 1].real.tolist()
     kraus = []
     for gamma1, gamma2 in pairs:
         phase = _kind_stack("phase", gamma2, times)
         ops = _compose_stack(_compose_stack(_kind_stack("amplitude", gamma1, times), phase), phase)
         kraus.append(check_densities(_kraus_sum(ops, plus_x.mat))[:, 0, 1].real.tolist())
-    spec_sets = [(NoiseSpec("A", "amplitude", g1), NoiseSpec("A", "phase", 2 * g2))
-                 for g1, g2 in pairs]
-    paths = _rk4_runs(plus_x, spec_sets, times, dt)[:, :, 0, 1].real.tolist()
     out = []
     for (gamma1, gamma2), k_route, lindblad in zip(pairs, kraus, paths):
         analytic = [0.5 * coherence_factor(gamma1, gamma2, t) for t in times]

@@ -25,6 +25,8 @@ from .channels import (
     NoiseSpec,
     _checked_grid,
     _damping,
+    _finite,
+    _floats,
     _regroup,
     _transfer_blocks,
     check_time,
@@ -81,7 +83,7 @@ class XState:
 
     def __post_init__(self):
         pops = (self.a, self.b, self.c, self.d)
-        if not all(math.isfinite(p) for p in pops) or not np.isfinite(self.z):
+        if not all(_finite(x) for x in (*pops, self.z)):
             raise ValueError("entries must be finite")
         if min(pops) < 0:
             raise ValueError(f"populations must be >= 0, got {pops}")
@@ -328,7 +330,7 @@ def _horizon(specs: tuple, t_max: Optional[float]) -> float:
         t_max = 20.0 / min(active) if active else 1.0
         if not math.isfinite(t_max):
             raise ValueError(f"rate {min(active)!r} is too small for the default horizon 20 / rate")
-    if not (math.isfinite(t_max) and t_max > 0):
+    if not (_finite(t_max) and t_max > 0):
         raise ValueError(f"t_max must be finite and > 0, got {t_max}")
     return t_max
 
@@ -491,7 +493,7 @@ def diagram_grid(
     specs = tuple(specs)
     t_max = _horizon(specs, t_max)  # even when no cell is live
     rates = _x_rates(specs)
-    a_axis, z_axis = np.asarray(a_values, dtype=float), np.asarray(z_values, dtype=float)
+    a_axis, z_axis = _floats(a_values, "a_values"), _floats(z_values, "z_values")
     for name, axis in (("a_values", a_axis), ("z_values", z_axis)):
         if axis.ndim != 1:
             raise ValueError(f"{name} must be a 1d axis, got shape {axis.shape}")

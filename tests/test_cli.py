@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -409,6 +410,26 @@ def test_additivity_dt_past_every_span_takes_a_step(capsys):
                    "the stability limit 2.785\n")
 
 
+def test_additivity_over_the_step_budget_exits_2_before_the_kraus_route(capsys):
+    # 1,000,001 spans take at least one RK4 step each, past MAX_RK4_STEPS.  The
+    # Kraus route once built its stacks first and refused only after 9 s and
+    # 2.3 GB; a larger grid died with a MemoryError traceback
+    start = time.perf_counter()
+    code, out, err = run_cli(["additivity", "--samples", "1000002"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: dt 0.0001 needs more than 1000000 RK4 steps\n"
+    assert time.perf_counter() - start < 5.0
+
+
+def test_lattice_too_large_for_memory_exits_2(capsys):
+    # 2**23 squared cells exceed a 47-bit address space on any machine: numpy
+    # refuses the 512 TiB lattice, which was a 22-line traceback and exit 1
+    code, out, err = run_cli(["diagram", "--panel", "i", "--resolution", "8388608"], capsys)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: input too large for memory: ")
+
+
 def test_additivity_coarse_stable_step_accepted(capsys):
     # the one step per span is h = 5/19, and h times the rate 3 is 0.79
     code, out, _ = run_cli(
@@ -460,13 +481,12 @@ def test_console_entry_point():
 
 
 @pytest.mark.parametrize("case", [
-    "trace_phase", "trace_sweep", "esd", "diagram_i", "diagram_ii", "diagram_iii",
+    "trace_phase", "trace_sweep", "esd", "additivity", "diagram_i", "diagram_ii", "diagram_iii",
 ])
 def test_golden_cases_are_byte_identical(case, capsys):
     """The stored golden CLI outputs, reproduced in process byte for byte.
     ``validate`` is held to its golden output by ``test_validate_passes``;
-    ``additivity``, which spends most of its time in the RK4 integrator, is
-    left to bench/golden.py."""
+    ``additivity`` pins the bits of a lone RK4 run."""
     manifest = json.loads((GOLDEN / "manifest.json").read_text())[case]
     code, out, _ = run_cli(manifest["argv"], capsys)
     assert code == manifest["exit_code"]

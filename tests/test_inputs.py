@@ -325,9 +325,11 @@ def test_cli_inputs_exit_cleanly(rng):
 
 
 # The library half: each float argument of the public functions at the CLI
-# sweep's values.  A route's arguments are floats (or None for an optional
-# horizon); noise routes pass their first four as the rates of NOISE_SLOTS.
-VALUES = [float(v) for v in FLOATS]
+# sweep's values, and at an int beyond the float range, which Python's float
+# conversion refuses with OverflowError.  A route's arguments are numbers (or
+# None for an optional horizon); noise routes pass their first four as the
+# rates of NOISE_SLOTS.
+VALUES = [float(v) for v in FLOATS] + [10**400]
 RATES = (0.0, 0.0, 1.0, 1.0)  # phase noise alone: no death, no bisection
 
 
