@@ -85,28 +85,29 @@ def _floats(values, name: str) -> np.ndarray:
         raise ValueError(f"{name} hold an int beyond the float range") from None
 
 
-def check_rates(**rates: float):
-    """Raise ValueError, naming the argument, unless each rate is finite and >= 0."""
-    for name, rate in rates.items():
-        if not (_finite(rate) and rate >= 0.0):
-            raise ValueError(f"{name} must be finite and >= 0, got {rate!r}")
+def _shown(x, fmt) -> str:
+    """``fmt(x)`` for a message, or a phrase for an int beyond the float range,
+    whose hundreds of digits would not fit on one line."""
+    return "an int beyond the float range" if isinstance(x, int) and not _finite(x) else fmt(x)
 
 
-def check_time(t: float):
-    """Raise ValueError unless the elapsed time t is finite and >= 0."""
-    if not (_finite(t) and t >= 0.0):
-        raise ValueError(f"time must be finite and >= 0, got {t!r}")
+def check_nonnegative(**values: float):
+    """Raise ValueError, naming the argument, unless each value (a rate or a
+    time) is finite and >= 0; the arguments are checked in the order given."""
+    for name, x in values.items():
+        if not (_finite(x) and x >= 0.0):
+            raise ValueError(f"{name} must be finite and >= 0, got {_shown(x, repr)}")
 
 
 def check_times(times) -> np.ndarray:
-    """A time grid as a 1d float array, every time checked as by ``check_time``,
-    which names the first bad one: the one grid check."""
+    """A time grid as a 1d float array, every time checked as by
+    ``check_nonnegative``, which names the first bad one: the one grid check."""
     times = _floats(times, "times")
     if times.ndim != 1:
         raise ValueError(f"need a 1d time grid, got shape {times.shape}")
     bad = ~(np.isfinite(times) & (times >= 0.0))
     if bad.any():
-        check_time(float(times[bad.argmax()]))
+        check_nonnegative(time=float(times[bad.argmax()]))
     return times
 
 
@@ -127,7 +128,7 @@ class NoiseSpec:
             raise ValueError(f"target must be one of {TARGETS}, got {self.target!r}")
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        check_rates(rate=self.rate)
+        check_nonnegative(rate=self.rate)
 
 
 @dataclass(frozen=True)
@@ -401,7 +402,7 @@ def _rk4_runs(
         raise ValueError("times must be ascending")
     times = times.tolist()
     if not (_finite(dt) and dt > 0):
-        raise ValueError(f"dt must be finite and > 0, got {dt}")
+        raise ValueError(f"dt must be finite and > 0, got {_shown(dt, str)}")
     for specs in spec_sets:  # the generator adds up the rates of each set
         fold_rates(specs)
     dim, runs = rho0.dim, len(spec_sets)
@@ -414,12 +415,15 @@ def _rk4_runs(
     if not np.isfinite(sups).all():
         raise ValueError("noise rates overflow the master-equation generator")
     vecs = rho0.mat.reshape(dim * dim if runs == 1 else (1, dim * dim, 1))  # flat for one run
+    too_many = f"dt {dt} needs more than {MAX_RK4_STEPS} RK4 steps"
+    if len(times) - (times[:1] == [0.0]) > MAX_RK4_STEPS:  # before the step plan is built
+        raise ValueError(too_many)
     spans = [t - s for s, t in zip([0.0] + times, times)]
     # capped before ceil (no inf from a huge span / dt); a positive span takes >= 1 step
     counts = [max(1, math.ceil(min(span / dt - 1e-12, MAX_RK4_STEPS + 1))) if span else 0
               for span in spans]
     if sum(counts) > MAX_RK4_STEPS:
-        raise ValueError(f"dt {dt} needs more than {MAX_RK4_STEPS} RK4 steps")
+        raise ValueError(too_many)
     h_max = max((span / n for span, n in zip(spans, counts) if n), default=0.0)
     radius = float(np.abs(np.linalg.eigvals(sups)).max()) if h_max else 0.0
     if h_max * radius > RK4_STABILITY_LIMIT:

@@ -18,7 +18,7 @@ from .channels import (
     _kind_stack,
     _kraus_sum,
     _rk4_runs,
-    check_rates,
+    check_nonnegative,
     check_times,
     evolve_states,
 )
@@ -104,7 +104,7 @@ def additivity_series(gamma1: float, gamma2: float, times, dt=DEFAULT_DT) -> dic
     overflowing doubled one, raises ValueError naming it.  The validate
     suite steps the RK4 runs of its pairs, on one grid, in lockstep.
     """
-    check_rates(gamma1=gamma1, gamma2=gamma2, **{"2 * gamma2": 2 * gamma2})
+    check_nonnegative(gamma1=gamma1, gamma2=gamma2, **{"2 * gamma2": 2 * gamma2})
     return _additivity_runs([(gamma1, gamma2)], times, dt)[0]
 
 

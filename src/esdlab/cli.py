@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .channels import DEFAULT_DT, NoiseSpec, fold_rates
+from .channels import DEFAULT_DT, NoiseSpec, _finite, _shown, fold_rates
 from .checks import additivity_series, run_validation
 from .concurrence import (
     DecayKind,
@@ -61,27 +61,21 @@ class RunConfig:
 
     def __post_init__(self):
         if self.t_max is not None and not (_finite(self.t_max) and self.t_max > 0):
-            raise ConfigError(f"t_max must be finite and > 0, got {self.t_max!r}")
+            raise ConfigError(f"t_max must be finite and > 0, got {_shown(self.t_max, repr)}")
         if self.lam is not None and not _finite(self.lam):
-            raise ConfigError(f"lambda must be finite, got {self.lam!r}")
+            raise ConfigError(f"lambda must be finite, got {_shown(self.lam, repr)}")
         if not isinstance(self.samples, int) or self.samples < 2:
             raise ConfigError(f"samples must be an integer >= 2, got {self.samples!r}")
         if self.state is not None and self.lam is not None:
             raise ConfigError("give either a state or a lambda value, not both")
         object.__setattr__(self, "noises", tuple(self.noises))
-        try:
-            fold_rates(self.noises)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        fold_rates(self.noises)
 
     def initial_state(self) -> XState:
         if self.state is not None:
             return self.state
         if self.lam is not None:
-            try:
-                return lambda_state(self.lam)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
+            return lambda_state(self.lam)
         raise ConfigError("no initial state configured (need state or lambda)")
 
     @classmethod
@@ -125,10 +119,6 @@ def _number(value, name: str):
     return value
 
 
-def _finite(value) -> bool:
-    return isinstance(value, (int, float)) and math.isfinite(value)
-
-
 def _parse_noise(text: str) -> NoiseSpec:
     parts = text.split(":")
     if len(parts) != 3:
@@ -144,11 +134,8 @@ def _parse_state(text: str) -> XState:
     parts = text.split(",")
     if len(parts) != 6:
         raise ConfigError(f"state must be 'a,b,c,d,z_re,z_im', got {text!r}")
-    try:
-        a, b, c, d, zre, zim = (float(p) for p in parts)
-        return XState(a, b, c, d, complex(zre, zim))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    a, b, c, d, zre, zim = (float(p) for p in parts)
+    return XState(a, b, c, d, complex(zre, zim))
 
 
 def load_config(args) -> RunConfig:
@@ -284,10 +271,7 @@ def cmd_additivity(args) -> int:
         raise ConfigError(f"--gamma2 {args.gamma2} is too large: the RK4 route "
                           "runs at the doubled phase rate 2 * gamma2, which overflows")
     times = _grid(args.t_max, args.samples, "--t-max and --samples")
-    try:
-        series = additivity_series(args.gamma1, args.gamma2, times, dt=args.dt)
-    except ValueError as exc:  # a bad rate or dt, or a run the RK4 route cannot take
-        raise ConfigError(str(exc)) from exc
+    series = additivity_series(args.gamma1, args.gamma2, times, dt=args.dt)
     _emit_json(args, {"gamma1": args.gamma1, "gamma2": args.gamma2, **series})
     return EXIT_OK
 
@@ -374,12 +358,12 @@ def main(argv=None) -> int:
             return EXIT_CONFIG
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except SeparableStateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SEPARABLE
+    except (ConfigError, ValueError) as exc:  # the library's one-line refusal of bad input
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

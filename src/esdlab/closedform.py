@@ -30,7 +30,7 @@ import math
 import sys
 from typing import Optional
 
-from .channels import check_rates, check_time
+from .channels import _shown, check_nonnegative
 from .concurrence import SeparableStateError, XState, check_lambda
 
 
@@ -41,24 +41,21 @@ def coherence_factor(rate_amp: float, rate_phase: float, t: float) -> float:
     decay rate is the sum of the halved longitudinal rate and the full
     transverse rate.
     """
-    check_rates(rate_amp=rate_amp, rate_phase=rate_phase)
-    check_time(t)
+    check_nonnegative(rate_amp=rate_amp, rate_phase=rate_phase, time=t)
     return math.exp(-(0.5 * rate_amp + rate_phase) * t) if t else 1.0  # no inf * 0
 
 
 def phase_concurrence(lam: float, rate: float, t: float) -> float:
     """Concurrence under symmetric phase noise: (2 lam / 9) exp(-rate t)."""
     check_lambda(lam)
-    check_rates(rate=rate)
-    check_time(t)
+    check_nonnegative(rate=rate, time=t)
     return (2.0 * lam / 9.0) * math.exp(-rate * t)
 
 
 def amplitude_elements(lam: float, rate: float, t: float):
     """Matrix elements (z, a, d) under symmetric amplitude noise."""
     check_lambda(lam)
-    check_rates(rate=rate)
-    check_time(t)
+    check_nonnegative(rate=rate, time=t)
     decay = math.exp(-rate * t)
     w2 = -math.expm1(-rate * t)
     z = (lam / 9.0) * decay
@@ -81,11 +78,10 @@ def amplitude_concurrence(lam: float, rate: float, t: float) -> float:
     """
     if not (3.0 <= lam <= 4.0):
         raise ValueError(
-            f"closed form holds for 3 <= lambda <= 4, got {lam}; "
+            f"closed form holds for 3 <= lambda <= 4, got {_shown(lam, str)}; "
             "use amplitude_elements for the general case"
         )
-    check_rates(rate=rate)
-    check_time(t)
+    check_nonnegative(rate=rate, time=t)
     return (2.0 / 9.0) * _bracket(lam, rate, 0.0, t) * math.exp(-rate * t)
 
 
@@ -94,8 +90,7 @@ def combined_concurrence(
 ) -> float:
     """Concurrence under simultaneous symmetric amplitude and phase noise."""
     check_lambda(lam)
-    check_rates(rate_amp=rate_amp, rate_phase=rate_phase)
-    check_time(t)
+    check_nonnegative(rate_amp=rate_amp, rate_phase=rate_phase, time=t)
     bracket = _bracket(lam, rate_amp, rate_phase, t)
     return (2.0 / 9.0) * math.exp(-rate_amp * t) * max(0.0, bracket)
 
@@ -109,7 +104,7 @@ def combined_death_time(
     lam exp(-rate_phase t) > 0.  None when the limit is not negative, as there is no
     root; ValueError when the root lies past the largest float."""
     check_lambda(lam)
-    check_rates(rate_amp=rate_amp, rate_phase=rate_phase)
+    check_nonnegative(rate_amp=rate_amp, rate_phase=rate_phase)
     if not (rate_amp > 0 and (rate_phase > 0 or lam < 3)):
         return None
     lo, hi = 0.0, 1.0  # double hi, the last doubling clamped, until the bracket is <= 0
@@ -144,7 +139,7 @@ def d0_dies(x: XState, rate_amp: float, rate_phase: float) -> bool:
     The comparison is made in exact rationals on the stored floats, so a tie
     (the lattice cell a = 1/9, |z| = 1/3 is one) does not die.
     """
-    check_rates(rate_amp=rate_amp, rate_phase=rate_phase)
+    check_nonnegative(rate_amp=rate_amp, rate_phase=rate_phase)
     if x.d != 0.0:
         raise ValueError("the rule is defined on the d = 0 slice")
     if x.z == 0:

@@ -28,8 +28,9 @@ from .channels import (
     _finite,
     _floats,
     _regroup,
+    _shown,
     _transfer_blocks,
-    check_time,
+    check_nonnegative,
     check_times,
     fold_rates,
     transfer_states,
@@ -106,7 +107,7 @@ class XState:
 def check_lambda(lam: float):
     """Raise ValueError unless lam is in (0, 4], the benchmark family's range."""
     if not (0 < lam <= 4):
-        raise ValueError(f"lambda must be in (0, 4], got {lam}")
+        raise ValueError(f"lambda must be in (0, 4], got {_shown(lam, str)}")
 
 
 def lambda_state(lam: float) -> XState:
@@ -157,7 +158,7 @@ def evolve_x(x: XState, specs: Iterable[NoiseSpec], t: float) -> XState:
     damping factors.  Identical (to roundoff) to building and applying the
     Kraus channels.
     """
-    check_time(t)
+    check_nonnegative(time=t)
     amp_a, amp_b, ph_a, ph_b = _x_rates(specs)
     ga, gb = math.exp(-amp_a * t), math.exp(-amp_b * t)
     zf = math.exp(-0.5 * (amp_a + ph_a + amp_b + ph_b) * t) if t else 1.0  # no inf * 0
@@ -331,7 +332,7 @@ def _horizon(specs: tuple, t_max: Optional[float]) -> float:
         if not math.isfinite(t_max):
             raise ValueError(f"rate {min(active)!r} is too small for the default horizon 20 / rate")
     if not (_finite(t_max) and t_max > 0):
-        raise ValueError(f"t_max must be finite and > 0, got {t_max}")
+        raise ValueError(f"t_max must be finite and > 0, got {_shown(t_max, str)}")
     return t_max
 
 

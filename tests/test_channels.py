@@ -420,6 +420,10 @@ def test_integrate_path_rejects_runs_rk4_cannot_take():
     for dt in (1e-9, 1e-320):  # 1e9 steps; a step count that overflows to inf
         with pytest.raises(ValueError, match=f"more than {MAX_RK4_STEPS} RK4 steps"):
             integrate(PLUS_X, (), 1.0, dt=dt)
+    # one step per positive span is already past the budget, whatever dt is
+    times = np.arange(MAX_RK4_STEPS + 2) * 1e-3
+    with pytest.raises(ValueError, match=f"^dt 1.0 needs more than {MAX_RK4_STEPS} RK4 steps$"):
+        integrate_path(PLUS_X, (), times, dt=1.0)
     # one amplitude spec of rate G: the generator's spectral radius is G;
     # the step is h = 0.1 here
     for rate in (1.01 * RK4_STABILITY_LIMIT / 0.1, 1e300):

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 import esdlab
-from esdlab import NoiseSpec, XState
+from esdlab import NoiseSpec, XState, lambda_state
+from esdlab.channels import fold_rates
+from esdlab.checks import additivity_series
 from esdlab.cli import ConfigError, RunConfig, main
 
 GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden"
@@ -231,6 +233,31 @@ def test_invalid_inputs_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:  # esd only emits JSON: no --format
         main(["esd", "--lambda", "4", "--format", "csv"])
     assert exc.value.code == 2
+
+
+def _library_refusal(call, *args) -> str:
+    """The stderr of a library refusal as the CLI prints it: "error: " and the message."""
+    with pytest.raises(ValueError) as exc:
+        call(*args)
+    return f"error: {exc.value}\n"
+
+
+def test_library_refusals_print_their_own_message(tmp_path, capsys):
+    overflow = _library_refusal(fold_rates, [NoiseSpec("A", "amplitude", 1e308)] * 2)
+    path = tmp_path / "run.json"
+    rows = [{"target": "A", "kind": "amplitude", "rate": 1e308}] * 2
+    path.write_text(json.dumps({"noises": rows}), encoding="utf-8")
+    cases = [
+        (["trace", "--lambda", "9"], _library_refusal(lambda_state, 9.0)),
+        (["trace", "--state", "0.5,0.4,0.4,0.1,0.3,0"],  # populations sum to 1.4
+         _library_refusal(XState, 0.5, 0.4, 0.4, 0.1, complex(0.3, 0.0))),
+        (["additivity", "--gamma1", "3e4"],  # past the RK4 stability limit at the default dt
+         _library_refusal(additivity_series, 3e4, 1.0, np.linspace(0.0, 5.0, 20))),
+        (["esd", "--lambda", "4"] + ["--noise", "A:amplitude:1e308"] * 2, overflow),
+        (["esd", "--lambda", "4", "--config", str(path)], overflow),
+    ]
+    for argv, err in cases:
+        assert run_cli(argv, capsys) == (2, "", err), argv
 
 
 @pytest.mark.parametrize("argv", [
